@@ -153,10 +153,10 @@ func run(cfg serveConfig) error {
 		fmt.Printf("serving policy revision %d from %s\n", doc.Revision, cfg.policyFile)
 	}
 
-	// The campaign-cache registry chains onto the same port as ingest and
-	// the control plane: its handler answers registry frames, the control
-	// plane answers policy frames, and everything else falls through to
-	// the document store.
+	// The campaign-cache registry shares the port with ingest and the
+	// control plane: its table answers registry frames, the control
+	// plane's answers policy frames, and every other kind falls through
+	// to the document store.
 	var reg *collect.Registry
 	if cfg.registryDir != "" {
 		r, err := collect.NewRegistry(cfg.registryDir,

@@ -66,6 +66,9 @@ func run() error {
 			if err := sp.Flush(10 * time.Second); err != nil {
 				return err
 			}
+			if err := awaitStored(srv, 1); err != nil {
+				return err
+			}
 			if err := srv.Close(); err != nil {
 				return err
 			}
@@ -89,6 +92,9 @@ func run() error {
 	defer srv2.Close()
 	fmt.Printf("collection server restarted — %d spooled profiles replaying\n", sp.Pending())
 	if err := sp.Flush(10 * time.Second); err != nil {
+		return err
+	}
+	if err := awaitStored(srv2, uint64(len(runs)-1)); err != nil {
 		return err
 	}
 
@@ -129,9 +135,29 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	if len(logs) == 0 {
+		return fmt.Errorf("restarted collection server holds no profiles")
+	}
 	fmt.Println()
 	fmt.Print(healers.RenderProfile(logs[len(logs)-1]))
 	return nil
+}
+
+// awaitStored waits until srv has stored want documents. Spooler.Flush
+// returns once the frames are written to the socket, not once the server
+// has stored them.
+func awaitStored(srv *collect.Server, want uint64) error {
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		got := srv.Stats().DocsReceived
+		if got >= want {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("collection server stored %d of %d profiles", got, want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // restart re-binds the collection address, retrying briefly while the

@@ -3,6 +3,7 @@ package collect
 import (
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -365,18 +366,15 @@ func TestZeroValueClientWriteDeadline(t *testing.T) {
 
 // TestCallRequestResponse covers the request/response extension: a
 // handler-answered document comes back as one response frame on the same
-// connection, declined documents fall through to the store, and the
-// handled count lands in Stats.
+// connection, documents of a kind without a handler fall through to the
+// store, and the handled count lands in Stats.
 func TestCallRequestResponse(t *testing.T) {
 	ackFrame, err := xmlrep.Marshal(&xmlrep.WorkAck{OK: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := startServer(t, WithHandler(func(from string, kind xmlrep.DocKind, data []byte) []byte {
-		if kind == xmlrep.KindWorkRequest {
-			return ackFrame
-		}
-		return nil // everything else stores as usual
+	s := startServer(t, WithHandler(Handler{
+		xmlrep.KindWorkRequest: func(string, []byte) []byte { return ackFrame },
 	}))
 	c, err := Dial(s.Addr())
 	if err != nil {
@@ -392,13 +390,29 @@ func TestCallRequestResponse(t *testing.T) {
 		t.Fatalf("response = %q, want a work-ack", resp)
 	}
 
-	// A declined kind on the same session still lands in the store.
+	// An unregistered kind on the same session still lands in the store.
 	if err := c.Send(sampleProfile("app", 5)); err != nil {
 		t.Fatalf("Send after Call: %v", err)
 	}
 	waitCount(t, s, 1)
 	if st := s.Stats(); st.RequestsHandled != 1 || st.DocsReceived != 1 {
 		t.Errorf("stats = %+v, want 1 handled request and 1 stored doc", st)
+	}
+}
+
+// TestServeRefusesDuplicateKind: two handler tables that claim the same
+// kind are a configuration error, caught before the server listens.
+func TestServeRefusesDuplicateKind(t *testing.T) {
+	cp := NewControlPlane()
+	s, err := Serve("127.0.0.1:0",
+		WithHandler(cp.Handler()),
+		WithHandler(Handler{xmlrep.KindRegistryGet: cp.handleRequest, xmlrep.KindPolicyRequest: cp.handleRequest}))
+	if err == nil {
+		s.Close()
+		t.Fatal("Serve accepted two handlers for one kind")
+	}
+	if !strings.Contains(err.Error(), string(xmlrep.KindPolicyRequest)) {
+		t.Errorf("error %q does not name the contested kind", err)
 	}
 }
 

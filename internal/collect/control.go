@@ -117,31 +117,20 @@ func (cp *ControlPlane) NoteEscalations(n int) {
 	cp.mu.Unlock()
 }
 
-// Handler returns the wire handler implementing the policy exchanges;
-// register it with collect.WithHandler. It answers two kinds —
-// KindPolicy (a push: adopt or refuse, reply with a PolicyAck) and
-// KindPolicyRequest (a poll: reply with the full document when the
-// requester is behind, an already-current ack otherwise) — and declines
-// everything else, so profile uploads and coordinator traffic pass
-// through untouched. Policy pushers must use Client.Call (the exchange
-// has a response frame); a fire-and-forget Send would leave the ack
-// unread on the socket.
+// Handler returns the table of the policy exchanges; register it with
+// collect.WithHandler. It answers two kinds — KindPolicy (a push: adopt
+// or refuse, reply with a PolicyAck) and KindPolicyRequest (a poll:
+// reply with the full document when the requester is behind, an
+// already-current ack otherwise). Policy pushers must use Client.Call
+// (the exchange has a response frame); a fire-and-forget Send would
+// leave the ack unread on the socket.
 func (cp *ControlPlane) Handler() Handler {
-	return func(from string, kind xmlrep.DocKind, data []byte) []byte {
-		switch kind {
-		case xmlrep.KindPolicy:
-			return cp.handlePush(data)
-		case xmlrep.KindPolicyRequest:
-			return cp.handleRequest(data)
-		default:
-			return nil
-		}
-	}
+	return Handler{xmlrep.KindPolicy: cp.handlePush, xmlrep.KindPolicyRequest: cp.handleRequest}
 }
 
 // handlePush adopts or refuses a pushed policy document and renders the
 // ack either way.
-func (cp *ControlPlane) handlePush(data []byte) []byte {
+func (cp *ControlPlane) handlePush(_ string, data []byte) []byte {
 	ack := xmlrep.PolicyAck{OK: true}
 	doc, err := xmlrep.Unmarshal[xmlrep.PolicyDoc](data)
 	if err == nil {
@@ -158,34 +147,24 @@ func (cp *ControlPlane) handlePush(data []byte) []byte {
 	cp.mu.Lock()
 	ack.Revision = cp.stats.Revision
 	cp.mu.Unlock()
-	return mustMarshalAck(&ack)
+	return xmlrep.MustMarshal(&ack)
 }
 
 // handleRequest serves the current document to a requester that is
 // behind, or an ack telling it it is current.
-func (cp *ControlPlane) handleRequest(data []byte) []byte {
+func (cp *ControlPlane) handleRequest(_ string, data []byte) []byte {
 	req, err := xmlrep.Unmarshal[xmlrep.PolicyRequest](data)
 	if err != nil {
-		return mustMarshalAck(&xmlrep.PolicyAck{OK: false, Reason: "malformed policy request"})
+		return xmlrep.MustMarshal(&xmlrep.PolicyAck{OK: false, Reason: "malformed policy request"})
 	}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	if cp.doc == nil || req.HaveRevision >= cp.stats.Revision {
 		cp.stats.NotModified++
-		return mustMarshalAck(&xmlrep.PolicyAck{OK: true, Revision: cp.stats.Revision})
+		return xmlrep.MustMarshal(&xmlrep.PolicyAck{OK: true, Revision: cp.stats.Revision})
 	}
 	cp.stats.Served++
 	return cp.data
-}
-
-// mustMarshalAck renders a PolicyAck; the struct has no failure mode
-// under xml.Marshal, so an error here is a programming bug.
-func mustMarshalAck(ack *xmlrep.PolicyAck) []byte {
-	data, err := xmlrep.Marshal(ack)
-	if err != nil {
-		panic(fmt.Sprintf("collect: marshal policy ack: %v", err))
-	}
-	return data
 }
 
 // FetchPolicy asks a control plane for a policy document newer than

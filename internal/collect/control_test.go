@@ -117,7 +117,7 @@ func TestFetchPolicyNoPolicyLoaded(t *testing.T) {
 	}
 }
 
-// TestControlPlaneSharesServerWithIngest proves the handler chain: one
+// TestControlPlaneSharesServerWithIngest proves the kind table: one
 // server takes profile uploads and policy traffic on the same port.
 func TestControlPlaneSharesServerWithIngest(t *testing.T) {
 	cp, srv := controlServer(t)

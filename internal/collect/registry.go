@@ -174,8 +174,8 @@ func readEntryFile(path, key string) (*xmlrep.CacheFuncXML, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if doc.Checksum == "" || doc.Checksum != doc.ComputeChecksum() {
-		return nil, 0, fmt.Errorf("collect: registry: %s: checksum mismatch", path)
+	if err := xmlrep.Verify(doc); err != nil {
+		return nil, 0, fmt.Errorf("collect: registry: %s: %w", path, err)
 	}
 	if len(doc.Funcs) != 1 || doc.Funcs[0].Key != key {
 		return nil, 0, fmt.Errorf("collect: registry: %s: not a single-entry doc for its key", path)
@@ -190,7 +190,7 @@ func (r *Registry) insertLocked(key string, fn *xmlrep.CacheFuncXML, size int64)
 	if _, ok := r.entries[key]; ok {
 		return false
 	}
-	r.entries[key] = &regEntry{fn: *fn, sum: xmlrep.EntrySum(fn), size: size}
+	r.entries[key] = &regEntry{fn: *fn, sum: xmlrep.Checksum(fn), size: size}
 	r.order = append(r.order, key)
 	r.bytes += size
 	r.evictLocked()
@@ -255,7 +255,7 @@ func (r *Registry) Put(hierarchy string, fn *xmlrep.CacheFuncXML) (bool, error) 
 // single-entry campaign-cache document.
 func marshalEntryDoc(hierarchy string, fn *xmlrep.CacheFuncXML) ([]byte, error) {
 	doc := &xmlrep.CampaignCacheDoc{Hierarchy: hierarchy, Funcs: []xmlrep.CacheFuncXML{*fn}}
-	doc.Checksum = doc.ComputeChecksum()
+	xmlrep.Seal(doc)
 	return xmlrep.Marshal(doc)
 }
 
@@ -303,7 +303,7 @@ func (r *Registry) Get(keys []string, hasOnly bool) *xmlrep.RegistryAnswer {
 			ans.Funcs = append(ans.Funcs, xmlrep.RegistryEntryXML{CacheFuncXML: e.fn, Sum: e.sum})
 		}
 	}
-	ans.Checksum = ans.ComputeChecksum()
+	xmlrep.Seal(ans)
 	return ans
 }
 
@@ -317,58 +317,44 @@ func (r *Registry) Stats() RegistryStats {
 	return s
 }
 
-// Handler returns the wire handler implementing the registry exchanges;
-// register it with collect.WithHandler. It answers KindRegistryGet
-// (reply with a RegistryAnswer) and KindRegistryPut (store entries,
-// reply with a RegistryAck) and declines everything else, so profile
-// uploads, coordinator, and policy traffic pass through untouched. Both
-// exchanges have response frames — clients must use Client.Call.
+// Handler returns the table of the registry exchanges; register it with
+// collect.WithHandler. It answers KindRegistryGet (reply with a
+// RegistryAnswer) and KindRegistryPut (store entries, reply with a
+// RegistryAck). Both exchanges have response frames — clients must use
+// Client.Call.
 func (r *Registry) Handler() Handler {
-	return func(from string, kind xmlrep.DocKind, data []byte) []byte {
-		switch kind {
-		case xmlrep.KindRegistryGet:
-			return r.handleGet(data)
-		case xmlrep.KindRegistryPut:
-			return r.handlePut(data)
-		default:
-			return nil
-		}
-	}
+	return Handler{xmlrep.KindRegistryGet: r.handleGet, xmlrep.KindRegistryPut: r.handlePut}
 }
 
 // handleGet answers one get frame; a malformed or corrupted request
-// gets a refusing ack rather than a fabricated answer.
-func (r *Registry) handleGet(data []byte) []byte {
+// gets a refusing ack rather than a fabricated answer. The request
+// checksum is optional.
+func (r *Registry) handleGet(_ string, data []byte) []byte {
 	req, err := xmlrep.Unmarshal[xmlrep.RegistryGet](data)
 	if err != nil {
-		return mustMarshalRegistryAck(&xmlrep.RegistryAck{OK: false, Reason: "malformed registry get"})
+		return xmlrep.MustMarshal(&xmlrep.RegistryAck{OK: false, Reason: "malformed registry get"})
 	}
-	if req.Checksum != "" && req.Checksum != req.ComputeChecksum() {
-		return mustMarshalRegistryAck(&xmlrep.RegistryAck{OK: false, Reason: "registry get checksum mismatch"})
+	if req.Checksum != "" && xmlrep.Verify(req) != nil {
+		return xmlrep.MustMarshal(&xmlrep.RegistryAck{OK: false, Reason: "registry get checksum mismatch"})
 	}
-	ans := r.Get(req.Keys, req.HasOnly)
-	out, err := xmlrep.Marshal(ans)
-	if err != nil {
-		return mustMarshalRegistryAck(&xmlrep.RegistryAck{OK: false, Reason: err.Error()})
-	}
-	return out
+	return xmlrep.MustMarshal(r.Get(req.Keys, req.HasOnly))
 }
 
 // handlePut stores a pushed batch. The frame checksum is mandatory:
 // storing a truncated or corrupted batch would poison every future warm
 // sweep, so an unverifiable frame is refused whole.
-func (r *Registry) handlePut(data []byte) []byte {
+func (r *Registry) handlePut(_ string, data []byte) []byte {
 	refuse := func(reason string) []byte {
 		r.mu.Lock()
 		r.stats.Rejected++
 		r.mu.Unlock()
-		return mustMarshalRegistryAck(&xmlrep.RegistryAck{OK: false, Reason: reason})
+		return xmlrep.MustMarshal(&xmlrep.RegistryAck{OK: false, Reason: reason})
 	}
 	put, err := xmlrep.Unmarshal[xmlrep.RegistryPut](data)
 	if err != nil {
 		return refuse("malformed registry put")
 	}
-	if put.Checksum == "" || put.Checksum != put.ComputeChecksum() {
+	if xmlrep.Verify(put) != nil {
 		return refuse("registry put checksum mismatch")
 	}
 	ack := xmlrep.RegistryAck{OK: true}
@@ -383,17 +369,7 @@ func (r *Registry) handlePut(data []byte) []byte {
 			ack.Known++
 		}
 	}
-	return mustMarshalRegistryAck(&ack)
-}
-
-// mustMarshalRegistryAck renders a RegistryAck; the struct has no
-// failure mode under xml.Marshal, so an error here is a programming bug.
-func mustMarshalRegistryAck(ack *xmlrep.RegistryAck) []byte {
-	data, err := xmlrep.Marshal(ack)
-	if err != nil {
-		panic(fmt.Sprintf("collect: marshal registry ack: %v", err))
-	}
-	return data
+	return xmlrep.MustMarshal(&ack)
 }
 
 // RegistryFetch asks a registry for the entries stored under keys,
@@ -403,7 +379,7 @@ func mustMarshalRegistryAck(ack *xmlrep.RegistryAck) []byte {
 // which discards it and re-probes).
 func RegistryFetch(c *Client, client string, keys []string) (*xmlrep.RegistryAnswer, error) {
 	req := &xmlrep.RegistryGet{Client: client, Keys: keys}
-	req.Checksum = req.ComputeChecksum()
+	xmlrep.Seal(req)
 	resp, err := c.Call(req)
 	if err != nil {
 		return nil, err
@@ -418,8 +394,8 @@ func RegistryFetch(c *Client, client string, keys []string) (*xmlrep.RegistryAns
 		if err != nil {
 			return nil, err
 		}
-		if ans.Checksum == "" || ans.Checksum != ans.ComputeChecksum() {
-			return nil, fmt.Errorf("collect: registry fetch: answer checksum mismatch")
+		if err := xmlrep.Verify(ans); err != nil {
+			return nil, fmt.Errorf("collect: registry fetch: answer: %w", err)
 		}
 		return ans, nil
 	case xmlrep.KindRegistryAck:
@@ -438,7 +414,7 @@ func RegistryFetch(c *Client, client string, keys []string) (*xmlrep.RegistryAns
 // the registry refused the batch (the ack's Reason says why).
 func RegistryPush(c *Client, client, hierarchy string, funcs []xmlrep.CacheFuncXML) (*xmlrep.RegistryAck, error) {
 	put := &xmlrep.RegistryPut{Client: client, Hierarchy: hierarchy, Funcs: funcs}
-	put.Checksum = put.ComputeChecksum()
+	xmlrep.Seal(put)
 	resp, err := c.Call(put)
 	if err != nil {
 		return nil, err

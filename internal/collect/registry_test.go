@@ -44,7 +44,7 @@ func TestRegistryPutGetRoundTrip(t *testing.T) {
 	if len(ans.Funcs) != 1 || ans.Funcs[0].Name != "func_001" {
 		t.Fatalf("Get entries = %+v", ans.Funcs)
 	}
-	if ans.Funcs[0].Sum != xmlrep.EntrySum(&ans.Funcs[0].CacheFuncXML) {
+	if ans.Funcs[0].Sum != xmlrep.Checksum(&ans.Funcs[0].CacheFuncXML) {
 		t.Error("served entry's integrity sum does not match its content")
 	}
 	if strings.Join(ans.Found, ",") != fn.Key || strings.Join(ans.Missing, ",") != "absent" {
@@ -206,7 +206,7 @@ func TestRegistryConcurrentGetPut(t *testing.T) {
 			for j := 0; j < 20; j++ {
 				ans := r.Get([]string{fn.Key}, false)
 				for k := range ans.Funcs {
-					if ans.Funcs[k].Sum != xmlrep.EntrySum(&ans.Funcs[k].CacheFuncXML) {
+					if ans.Funcs[k].Sum != xmlrep.Checksum(&ans.Funcs[k].CacheFuncXML) {
 						t.Error("served entry failed its integrity sum under concurrency")
 						return
 					}
@@ -222,7 +222,7 @@ func TestRegistryConcurrentGetPut(t *testing.T) {
 }
 
 // TestRegistryWireExchanges runs get/put over a real server with the
-// registry handler chained, including refusal of a corrupted put frame.
+// registry handler installed, including refusal of a corrupted put frame.
 func TestRegistryWireExchanges(t *testing.T) {
 	r, err := NewRegistry(t.TempDir())
 	if err != nil {

@@ -193,10 +193,10 @@ const (
 	DefaultReadTimeout = 30 * time.Second
 )
 
-// Handler answers request documents on the wire (see WithHandler). It
-// returns the marshalled response frame, or nil to decline the document —
-// a declined document falls through to the ordinary store path.
-type Handler func(from string, kind xmlrep.DocKind, data []byte) []byte
+// Handler is a dispatch table of request documents (see WithHandler):
+// each entry answers one document kind with the marshalled response
+// frame. Kinds without an entry fall through to the ordinary store path.
+type Handler map[xmlrep.DocKind]func(from string, data []byte) []byte
 
 type config struct {
 	maxConns    int
@@ -204,7 +204,8 @@ type config struct {
 	maxBytes    int64
 	idleTimeout time.Duration
 	readTimeout time.Duration
-	handlers    []Handler
+	handlers    Handler
+	dupKind     xmlrep.DocKind // a kind claimed by two WithHandler tables
 }
 
 // Option configures a Server at Serve time.
@@ -232,18 +233,27 @@ func WithIdleTimeout(d time.Duration) Option { return func(c *config) { c.idleTi
 // d <= 0 disables the deadline.
 func WithReadTimeout(d time.Duration) Option { return func(c *config) { c.readTimeout = d } }
 
-// WithHandler installs a request handler: a received document the handler
-// answers (non-nil return) gets its response written back on the same
-// connection as one frame, turning the one-way upload protocol into
-// request/response without changing the framing. Documents every handler
-// declines are stored as usual. Repeated WithHandler options chain: each
-// document is offered to the handlers in installation order and the
-// first non-nil response wins, which is how one server can be both a
-// campaign coordinator and a policy control plane. Handlers run on the
-// connection's goroutine and may be called concurrently across
+// WithHandler merges a request-handler table into the server's single
+// dispatch map: a received document whose kind has an entry gets the
+// entry's response written back on the same connection as one frame,
+// turning the one-way upload protocol into request/response without
+// changing the framing. Documents of any other kind are stored as usual.
+// Repeated WithHandler options merge, which is how one server can be a
+// campaign coordinator, a policy control plane and a cache registry at
+// once; Serve refuses two tables that claim the same kind. Handlers run
+// on the connection's goroutine and may be called concurrently across
 // connections; response writes run under the server's read timeout so a
 // non-draining peer cannot pin a handler.
-func WithHandler(h Handler) Option { return func(c *config) { c.handlers = append(c.handlers, h) } }
+func WithHandler(h Handler) Option {
+	return func(c *config) {
+		for kind, f := range h {
+			if _, dup := c.handlers[kind]; dup {
+				c.dupKind = kind
+			}
+			c.handlers[kind] = f
+		}
+	}
+}
 
 // Stats are the server's ingest counters. All counters are cumulative
 // over the server's lifetime except ActiveConns and the Retained pair,
@@ -252,7 +262,7 @@ type Stats struct {
 	DocsReceived   uint64 // documents stored (and aggregated)
 	BytesReceived  uint64 // raw XML bytes of stored documents
 	FramesRejected uint64 // bad lengths, truncated or timed-out bodies
-	DocsRejected   uint64 // unknown kinds and unparseable profiles
+	DocsRejected   uint64 // unknown kinds, unparseable profiles, unverifiable sequence reports
 	DocsEvicted    uint64 // documents dropped by the retention budget
 	BytesEvicted   uint64 // their raw XML bytes
 	ConnsAccepted  uint64 // connections admitted to a handler
@@ -295,9 +305,13 @@ func Serve(addr string, opts ...Option) (*Server, error) {
 		maxBytes:    DefaultMaxBytes,
 		idleTimeout: DefaultIdleTimeout,
 		readTimeout: DefaultReadTimeout,
+		handlers:    Handler{},
 	}
 	for _, o := range opts {
 		o(&cfg)
+	}
+	if cfg.dupKind != "" {
+		return nil, fmt.Errorf("collect: more than one handler for document kind %q", cfg.dupKind)
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -452,34 +466,35 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// dispatch routes one received document: request kinds go to the handler
-// chain (first non-nil response written back on the connection),
-// everything else to the store. It returns false when the session must
-// end (a response write failed — the peer is gone or not draining).
+// dispatch routes one received document by its kind, sniffed once: a
+// kind with a handler gets the handler's response written back on the
+// connection, everything else goes to the store. It returns false when
+// the session must end (a response write failed — the peer is gone or
+// not draining).
 func (s *Server) dispatch(conn net.Conn, from string, data []byte) bool {
-	if len(s.cfg.handlers) > 0 {
-		kind, err := xmlrep.Kind(data)
-		if err == nil {
-			for _, h := range s.cfg.handlers {
-				resp := h(from, kind, data)
-				if resp == nil {
-					continue
-				}
-				s.mu.Lock()
-				s.stats.RequestsHandled++
-				s.mu.Unlock()
-				if s.cfg.readTimeout > 0 {
-					conn.SetWriteDeadline(time.Now().Add(s.cfg.readTimeout))
-				}
-				if err := writeFrame(conn, resp); err != nil {
-					return false
-				}
-				conn.SetWriteDeadline(time.Time{})
-				return true
-			}
-		}
+	kind, err := xmlrep.Kind(data)
+	if err != nil {
+		s.mu.Lock()
+		s.stats.DocsRejected++
+		s.mu.Unlock()
+		return true // unknown document; skip, keep the session
 	}
-	s.store(from, data)
+	h, ok := s.cfg.handlers[kind]
+	if !ok {
+		s.store(from, kind, data)
+		return true
+	}
+	resp := h(from, data)
+	s.mu.Lock()
+	s.stats.RequestsHandled++
+	s.mu.Unlock()
+	if s.cfg.readTimeout > 0 {
+		conn.SetWriteDeadline(time.Now().Add(s.cfg.readTimeout))
+	}
+	if err := writeFrame(conn, resp); err != nil {
+		return false
+	}
+	conn.SetWriteDeadline(time.Time{})
 	return true
 }
 
@@ -496,15 +511,10 @@ func (s *Server) bumpFramesRejected() {
 	s.mu.Unlock()
 }
 
-// store sniffs, validates, aggregates, and retains one document.
-func (s *Server) store(from string, data []byte) {
-	kind, err := xmlrep.Kind(data)
-	if err != nil {
-		s.mu.Lock()
-		s.stats.DocsRejected++
-		s.mu.Unlock()
-		return // unknown document; skip, keep the session
-	}
+// store validates, aggregates, and retains one document of a sniffed
+// kind.
+func (s *Server) store(from string, kind xmlrep.DocKind, data []byte) {
+	var err error
 	// Parse profiles outside the lock: the parse feeds the streaming
 	// aggregate, and doing it at ingest is what lets AggregateCalls
 	// answer without touching stored XML.
@@ -525,7 +535,7 @@ func (s *Server) store(from string, data []byte) {
 		// outcome counters must never absorb a truncated upload.
 		seq, err = xmlrep.Unmarshal[xmlrep.SequenceReportDoc](data)
 		if err == nil {
-			err = seq.Validate()
+			err = xmlrep.Verify(seq)
 		}
 		if err != nil {
 			s.mu.Lock()

@@ -33,9 +33,10 @@ import (
 
 // cacheEpoch versions the campaign engine itself. Bump it when the
 // engine's observable behaviour changes in a way the prototype and probe
-// hierarchy cannot capture (e.g. the outcome classification rules), to
-// invalidate every existing cache wholesale.
-const cacheEpoch = 1
+// hierarchy cannot capture (e.g. the outcome classification rules) or
+// when the cache file format changes (epoch 2: the generic Seal
+// checksum), to invalidate every existing cache wholesale.
+const cacheEpoch = 2
 
 var (
 	hierarchyOnce sync.Once
@@ -160,7 +161,7 @@ func OpenCache(path string) (*Cache, error) {
 		c.discard = fmt.Sprintf("stale probe hierarchy %s (current %s)", doc.Hierarchy, HierarchyVersion())
 		return c, nil
 	}
-	if got := doc.ComputeChecksum(); got != doc.Checksum {
+	if xmlrep.Verify(doc) != nil {
 		c.discard = "checksum mismatch (corrupted or tampered file)"
 		return c, nil
 	}
@@ -349,7 +350,7 @@ func (c *Cache) docLocked() *xmlrep.CampaignCacheDoc {
 		e := c.entries[k]
 		doc.Funcs = append(doc.Funcs, reportToXML(e.name, k, e.config, e.report))
 	}
-	doc.Checksum = doc.ComputeChecksum()
+	xmlrep.Seal(doc)
 	return doc
 }
 

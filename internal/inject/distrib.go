@@ -200,7 +200,11 @@ func NewCoordinator(c *Campaign, nshards int, opts ...CoordOption) *Coordinator 
 // Serve starts listening for workers on addr ("127.0.0.1:0" for an
 // ephemeral port).
 func (co *Coordinator) Serve(addr string, opts ...collect.Option) error {
-	srv, err := collect.Serve(addr, append(opts, collect.WithHandler(co.handle))...)
+	srv, err := collect.Serve(addr, append(opts, collect.WithHandler(collect.Handler{
+		xmlrep.KindWorkRequest: co.handleRequest,
+		xmlrep.KindWorkResult:  co.handleResult,
+		xmlrep.KindHeartbeat:   co.handleHeartbeat,
+	}))...)
 	if err != nil {
 		return err
 	}
@@ -225,36 +229,10 @@ func (co *Coordinator) Close() error {
 }
 
 // errAck renders a fatal acknowledgement.
-func errAck(reason string) []byte {
-	data, err := xmlrep.Marshal(&xmlrep.WorkAck{Reason: reason})
-	if err != nil {
-		return nil
-	}
-	return data
-}
+func errAck(reason string) []byte { return xmlrep.MustMarshal(&xmlrep.WorkAck{Reason: reason}) }
 
 func okAck(accepted int) []byte {
-	data, err := xmlrep.Marshal(&xmlrep.WorkAck{OK: true, Accepted: accepted})
-	if err != nil {
-		return nil
-	}
-	return data
-}
-
-// handle is the collect request handler: it answers the three
-// distributed-campaign request kinds and declines everything else (which
-// the server then stores as an ordinary upload).
-func (co *Coordinator) handle(from string, kind xmlrep.DocKind, data []byte) []byte {
-	switch kind {
-	case xmlrep.KindWorkRequest:
-		return co.handleRequest(data)
-	case xmlrep.KindWorkResult:
-		return co.handleResult(data)
-	case xmlrep.KindHeartbeat:
-		return co.handleHeartbeat(data)
-	default:
-		return nil
-	}
+	return xmlrep.MustMarshal(&xmlrep.WorkAck{OK: true, Accepted: accepted})
 }
 
 // touchWorker updates the per-worker bookkeeping. Callers hold co.mu.
@@ -273,7 +251,7 @@ func (co *Coordinator) touchWorker(name string) *WorkerStat {
 // duplicate of the slowest in-flight shard. With nothing to hand out it
 // tells the worker when to poll again, and once every function has a
 // result it tells the worker to exit.
-func (co *Coordinator) handleRequest(data []byte) []byte {
+func (co *Coordinator) handleRequest(_ string, data []byte) []byte {
 	req, err := xmlrep.Unmarshal[xmlrep.WorkRequest](data)
 	if err != nil {
 		return errAck(fmt.Sprintf("bad work request: %v", err))
@@ -339,12 +317,8 @@ func (co *Coordinator) handleRequest(data []byte) []byte {
 }
 
 func marshalLease(l *xmlrep.WorkLease) []byte {
-	l.Checksum = l.ComputeChecksum()
-	data, err := xmlrep.Marshal(l)
-	if err != nil {
-		return nil
-	}
-	return data
+	xmlrep.Seal(l)
+	return xmlrep.MustMarshal(l)
 }
 
 // pickShardLocked selects the shard to lease to worker, or -1. Callers
@@ -403,12 +377,12 @@ func (co *Coordinator) shardDoneLocked(s *shardState) bool {
 // throughput. Duplicates — replays after a retry, or the losing side of
 // a speculative re-issue — are acknowledged and dropped, which is what
 // makes result delivery idempotent.
-func (co *Coordinator) handleResult(data []byte) []byte {
+func (co *Coordinator) handleResult(_ string, data []byte) []byte {
 	res, err := xmlrep.Unmarshal[xmlrep.WorkResult](data)
 	if err != nil {
 		return errAck(fmt.Sprintf("bad work result: %v", err))
 	}
-	if res.Checksum != res.ComputeChecksum() {
+	if xmlrep.Verify(res) != nil {
 		return errAck("work result checksum mismatch (corrupted frame)")
 	}
 	if res.Config != co.config {
@@ -519,7 +493,7 @@ func (co *Coordinator) doneProbesLocked() int {
 
 // handleHeartbeat extends the lease of a shard whose holder is still
 // alive and probing.
-func (co *Coordinator) handleHeartbeat(data []byte) []byte {
+func (co *Coordinator) handleHeartbeat(_ string, data []byte) []byte {
 	hb, err := xmlrep.Unmarshal[xmlrep.Heartbeat](data)
 	if err != nil {
 		return errAck(fmt.Sprintf("bad heartbeat: %v", err))

@@ -172,7 +172,7 @@ func TestDuplicateResultsDeduped(t *testing.T) {
 		Worker: "replayer", Shard: lease.Shard, Attempt: lease.Attempt,
 		Config: lease.Config, Funcs: []xmlrep.WorkFuncXML{entry},
 	}
-	res.Checksum = res.ComputeChecksum()
+	xmlrep.Seal(res)
 
 	for i, want := range []int{1, 0} {
 		resp, err := cl.Call(res)
@@ -238,23 +238,16 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	co := NewCoordinator(c, 1, WithLeaseTimeout(time.Minute))
-	mustMarshal := func(doc any) []byte {
-		data, err := xmlrep.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	co.handle("", xmlrep.KindWorkRequest,
-		mustMarshal(&xmlrep.WorkRequest{Worker: "w1", Hierarchy: HierarchyVersion()}))
+	co.handleRequest("",
+		xmlrep.MustMarshal(&xmlrep.WorkRequest{Worker: "w1", Hierarchy: HierarchyVersion()}))
 	before := co.shards[0].deadline
 
-	co.handle("", xmlrep.KindHeartbeat, mustMarshal(&xmlrep.Heartbeat{Worker: "w2", Shard: 0, Attempt: 1}))
+	co.handleHeartbeat("", xmlrep.MustMarshal(&xmlrep.Heartbeat{Worker: "w2", Shard: 0, Attempt: 1}))
 	if !co.shards[0].deadline.Equal(before) {
 		t.Error("a non-holder's heartbeat moved the lease deadline")
 	}
 	time.Sleep(5 * time.Millisecond)
-	co.handle("", xmlrep.KindHeartbeat, mustMarshal(&xmlrep.Heartbeat{Worker: "w1", Shard: 0, Attempt: 1}))
+	co.handleHeartbeat("", xmlrep.MustMarshal(&xmlrep.Heartbeat{Worker: "w1", Shard: 0, Attempt: 1}))
 	if !co.shards[0].deadline.After(before) {
 		t.Error("the holder's heartbeat did not extend the lease")
 	}
@@ -269,13 +262,6 @@ func TestCoordinatorRefusesForeignResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	co := NewCoordinator(c, 1)
-	mustMarshal := func(doc any) []byte {
-		data, err := xmlrep.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
 	refused := func(resp []byte, wantSub string) {
 		t.Helper()
 		ack, err := xmlrep.Unmarshal[xmlrep.WorkAck](resp)
@@ -287,15 +273,15 @@ func TestCoordinatorRefusesForeignResults(t *testing.T) {
 		}
 	}
 
-	refused(co.handle("", xmlrep.KindWorkRequest,
-		mustMarshal(&xmlrep.WorkRequest{Worker: "old", Hierarchy: "v0-stale"})), "hierarchy")
+	refused(co.handleRequest("",
+		xmlrep.MustMarshal(&xmlrep.WorkRequest{Worker: "old", Hierarchy: "v0-stale"})), "hierarchy")
 
 	res := &xmlrep.WorkResult{Worker: "w", Config: "deadbeef"}
-	res.Checksum = res.ComputeChecksum()
-	refused(co.handle("", xmlrep.KindWorkResult, mustMarshal(res)), "config")
+	xmlrep.Seal(res)
+	refused(co.handleResult("", xmlrep.MustMarshal(res)), "config")
 
 	res = &xmlrep.WorkResult{Worker: "w", Config: co.config, Checksum: "bogus"}
-	refused(co.handle("", xmlrep.KindWorkResult, mustMarshal(res)), "checksum")
+	refused(co.handleResult("", xmlrep.MustMarshal(res)), "checksum")
 
 	if co.doneFuncsLocked() != 0 {
 		t.Error("a refused result was merged")

@@ -170,7 +170,7 @@ func (rc *RegistryCache) fetchInto(local *Cache, config string, keys []string) {
 		// Trust nothing about a served entry until it proves itself:
 		// requested key, matching config, intact integrity sum, and a
 		// clean decode. Anything less re-probes.
-		if !requested[e.Key] || e.Config != config || e.Sum != xmlrep.EntrySum(&e.CacheFuncXML) {
+		if !requested[e.Key] || e.Config != config || e.Sum != xmlrep.Checksum(&e.CacheFuncXML) {
 			rc.stats.Corrupt++
 			continue
 		}

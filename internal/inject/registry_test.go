@@ -173,14 +173,12 @@ func TestRegistryCorruptEntryDiscardedAndReprobed(t *testing.T) {
 
 	// A hostile registry: answers every get with plausible entries whose
 	// sums are wrong.
-	srv, err := collect.Serve("127.0.0.1:0", collect.WithHandler(
-		func(from string, kind xmlrep.DocKind, data []byte) []byte {
-			if kind != xmlrep.KindRegistryGet {
-				return nil
-			}
+	srv, err := collect.Serve("127.0.0.1:0", collect.WithHandler(collect.Handler{
+		xmlrep.KindRegistryGet: func(_ string, data []byte) []byte {
 			req, err := xmlrep.Unmarshal[xmlrep.RegistryGet](data)
 			if err != nil {
-				return nil
+				t.Errorf("hostile registry: %v", err)
+				return xmlrep.MustMarshal(&xmlrep.RegistryAck{Reason: err.Error()})
 			}
 			ans := &xmlrep.RegistryAnswer{}
 			for _, k := range req.Keys {
@@ -193,10 +191,10 @@ func TestRegistryCorruptEntryDiscardedAndReprobed(t *testing.T) {
 					Sum: "corrupted-in-storage",
 				})
 			}
-			ans.Checksum = ans.ComputeChecksum()
-			out, _ := xmlrep.Marshal(ans)
-			return out
-		}))
+			xmlrep.Seal(ans)
+			return xmlrep.MustMarshal(ans)
+		},
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,7 +148,7 @@ func (w *worker) requestLease() (*xmlrep.WorkLease, error) {
 	if err != nil {
 		return nil, fmt.Errorf("inject: worker %s: bad lease: %w", w.id, err)
 	}
-	if lease.Checksum != lease.ComputeChecksum() {
+	if xmlrep.Verify(lease) != nil {
 		return nil, fmt.Errorf("inject: worker %s: lease checksum mismatch (corrupted frame)", w.id)
 	}
 	return lease, nil
@@ -229,7 +229,7 @@ func (w *worker) runLease(lease *xmlrep.WorkLease) error {
 			CachedLocal: cached,
 			Funcs:       []xmlrep.WorkFuncXML{entry},
 		}
-		res.Checksum = res.ComputeChecksum()
+		xmlrep.Seal(res)
 		resp, err := w.cl.Call(res)
 		if err != nil {
 			return fmt.Errorf("inject: worker %s: sending result for %s: %w", w.id, name, err)

@@ -49,13 +49,13 @@ func TestApplyDocRejections(t *testing.T) {
 	corrupted.Checksum = strings.Repeat("0", 64)
 	unknownAction := stampedDoc(5, "retry")
 	unknownAction.Rules[0].Action = "explode"
-	unknownAction.Checksum = unknownAction.ComputeChecksum()
+	xmlrep.Seal(unknownAction)
 	unknownClass := stampedDoc(5, "retry")
 	unknownClass.Rules[0].Class = "meltdown"
-	unknownClass.Checksum = unknownClass.ComputeChecksum()
+	xmlrep.Seal(unknownClass)
 	negRetries := stampedDoc(5, "retry")
 	negRetries.Rules[0].Retries = -1
-	negRetries.Checksum = negRetries.ComputeChecksum()
+	xmlrep.Seal(negRetries)
 	unstamped := stampedDoc(5, "retry")
 	unstamped.Checksum = ""
 

@@ -30,7 +30,7 @@ func sampleCacheDoc() *CampaignCacheDoc {
 // and unmarshals with the checksum still verifying.
 func TestCampaignCacheRoundTrip(t *testing.T) {
 	doc := sampleCacheDoc()
-	doc.Checksum = doc.ComputeChecksum()
+	Seal(doc)
 	data, err := Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestCampaignCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.ComputeChecksum() != back.Checksum {
+	if Checksum(back) != back.Checksum {
 		t.Error("checksum does not verify after round trip")
 	}
 	if len(back.Funcs) != 1 || back.Funcs[0].Name != "strcpy" ||
@@ -56,24 +56,24 @@ func TestCampaignCacheRoundTrip(t *testing.T) {
 // Generated timestamp but change with any semantic entry field.
 func TestCampaignCacheChecksumSemantics(t *testing.T) {
 	doc := sampleCacheDoc()
-	base := doc.ComputeChecksum()
+	base := Checksum(doc)
 
 	doc.Generated = "2026-08-06T00:00:00Z"
-	if doc.ComputeChecksum() != base {
+	if Checksum(doc) != base {
 		t.Error("checksum depends on the Generated timestamp")
 	}
 	doc.Checksum = base
-	if doc.ComputeChecksum() != base {
+	if Checksum(doc) != base {
 		t.Error("checksum depends on the stored checksum itself")
 	}
 
 	doc.Funcs[0].Results[1].Outcome = "crash"
-	if doc.ComputeChecksum() == base {
+	if Checksum(doc) == base {
 		t.Error("checksum missed an outcome change")
 	}
 	doc.Funcs[0].Results[1].Outcome = "ok"
 	doc.Funcs[0].Params[1].Level = "any"
-	if doc.ComputeChecksum() == base {
+	if Checksum(doc) == base {
 		t.Error("checksum missed a level change")
 	}
 }

@@ -9,19 +9,19 @@ import (
 // marshal/unmarshal round trip and sniffs to its own kind.
 func TestRegistryDocRoundTrips(t *testing.T) {
 	get := &RegistryGet{Client: "runner-1", Keys: []string{"k1", "k2"}}
-	get.Checksum = get.ComputeChecksum()
+	Seal(get)
 	entry := CacheFuncXML{
 		Name: "strlen", Key: "k1", Config: "cafe0123", Probes: 5, Failures: 2,
 		Results: []CacheProbeXML{{Probe: "null", Param: 0, Outcome: "abort", FaultKind: 2}},
 	}
 	ans := &RegistryAnswer{
-		Funcs:   []RegistryEntryXML{{CacheFuncXML: entry, Sum: EntrySum(&entry)}},
+		Funcs:   []RegistryEntryXML{{CacheFuncXML: entry, Sum: Checksum(&entry)}},
 		Found:   []string{"k1"},
 		Missing: []string{"k2"},
 	}
-	ans.Checksum = ans.ComputeChecksum()
+	Seal(ans)
 	put := &RegistryPut{Client: "runner-1", Hierarchy: "v1", Funcs: []CacheFuncXML{entry}}
-	put.Checksum = put.ComputeChecksum()
+	Seal(put)
 	for _, tc := range []struct {
 		doc  any
 		kind DocKind
@@ -49,7 +49,7 @@ func TestRegistryDocRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gback.Checksum != gback.ComputeChecksum() {
+	if Verify(gback) != nil {
 		t.Error("get checksum does not survive the round trip")
 	}
 	if strings.Join(gback.Keys, ",") != "k1,k2" || gback.Client != "runner-1" {
@@ -64,10 +64,10 @@ func TestRegistryDocRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if aback.Checksum != aback.ComputeChecksum() {
+	if Verify(aback) != nil {
 		t.Error("answer checksum does not survive the round trip")
 	}
-	if len(aback.Funcs) != 1 || aback.Funcs[0].Sum != EntrySum(&entry) {
+	if len(aback.Funcs) != 1 || aback.Funcs[0].Sum != Checksum(&entry) {
 		t.Errorf("answer entry/sum lost in round trip: %+v", aback.Funcs)
 	}
 	if len(aback.Funcs[0].Results) != 1 || aback.Funcs[0].Results[0].Outcome != "abort" {
@@ -85,7 +85,7 @@ func TestRegistryDocRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pback.Checksum != pback.ComputeChecksum() {
+	if Verify(pback) != nil {
 		t.Error("put checksum does not survive the round trip")
 	}
 	if pback.Hierarchy != "v1" || len(pback.Funcs) != 1 || pback.Funcs[0].Probes != 5 {
@@ -99,31 +99,31 @@ func TestRegistryDocRoundTrips(t *testing.T) {
 // recomputed — the defense against corruption inside registry storage.
 func TestRegistryChecksumDetectsTamper(t *testing.T) {
 	get := &RegistryGet{Keys: []string{"k1"}}
-	get.Checksum = get.ComputeChecksum()
+	Seal(get)
 	get.Keys[0] = "k2"
-	if get.Checksum == get.ComputeChecksum() {
+	if Verify(get) == nil {
 		t.Error("get checksum missed a key mutation")
 	}
 
 	entry := CacheFuncXML{Name: "strlen", Key: "k1", Probes: 3}
-	sum := EntrySum(&entry)
+	sum := Checksum(&entry)
 	ans := &RegistryAnswer{Funcs: []RegistryEntryXML{{CacheFuncXML: entry, Sum: sum}}}
-	ans.Checksum = ans.ComputeChecksum()
+	Seal(ans)
 	ans.Funcs[0].Failures = 99
-	if ans.Checksum == ans.ComputeChecksum() {
+	if Verify(ans) == nil {
 		t.Error("answer checksum missed an entry mutation")
 	}
 	// Per-entry integrity: even inside a frame whose checksum was
 	// recomputed after the corruption, the entry's own sum disagrees.
-	ans.Checksum = ans.ComputeChecksum()
-	if EntrySum(&ans.Funcs[0].CacheFuncXML) == sum {
-		t.Error("EntrySum missed an entry mutation")
+	Seal(ans)
+	if Checksum(&ans.Funcs[0].CacheFuncXML) == sum {
+		t.Error("per-entry checksum missed an entry mutation")
 	}
 
 	put := &RegistryPut{Funcs: []CacheFuncXML{{Name: "strlen", Probes: 3}}}
-	put.Checksum = put.ComputeChecksum()
+	Seal(put)
 	put.Funcs[0].Probes = 4
-	if put.Checksum == put.ComputeChecksum() {
+	if Verify(put) == nil {
 		t.Error("put checksum missed an entry mutation")
 	}
 }
@@ -134,7 +134,7 @@ func TestRegistryChecksumDetectsTamper(t *testing.T) {
 func TestRegistryHasOnlyChecksum(t *testing.T) {
 	a := &RegistryGet{Keys: []string{"k1"}}
 	b := &RegistryGet{Keys: []string{"k1"}, HasOnly: true}
-	if a.ComputeChecksum() == b.ComputeChecksum() {
+	if Checksum(a) == Checksum(b) {
 		t.Error("HasOnly not covered by the request checksum")
 	}
 }

@@ -14,7 +14,7 @@ func TestWorkDocRoundTrips(t *testing.T) {
 		Hierarchy: "v1", LeaseMS: 30000, RetryMS: 250,
 		Funcs: []string{"memcpy", "strlen"},
 	}
-	lease.Checksum = lease.ComputeChecksum()
+	Seal(lease)
 	res := &WorkResult{
 		Worker: "w1", Shard: 2, Attempt: 3, Config: "cafe0123",
 		Funcs: []WorkFuncXML{{
@@ -22,7 +22,7 @@ func TestWorkDocRoundTrips(t *testing.T) {
 			WallNS:       12345,
 		}},
 	}
-	res.Checksum = res.ComputeChecksum()
+	Seal(res)
 	for _, tc := range []struct {
 		doc  any
 		kind DocKind
@@ -51,7 +51,7 @@ func TestWorkDocRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Checksum != back.ComputeChecksum() {
+	if Verify(back) != nil {
 		t.Error("lease checksum does not survive the round trip")
 	}
 	if strings.Join(back.Funcs, ",") != "memcpy,strlen" || back.Stdin != "seed" || back.LeaseMS != 30000 {
@@ -66,7 +66,7 @@ func TestWorkDocRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rback.Checksum != rback.ComputeChecksum() {
+	if Verify(rback) != nil {
 		t.Error("result checksum does not survive the round trip")
 	}
 	if len(rback.Funcs) != 1 || rback.Funcs[0].WallNS != 12345 || rback.Funcs[0].Probes != 5 {
@@ -78,16 +78,16 @@ func TestWorkDocRoundTrips(t *testing.T) {
 // the stored checksum.
 func TestWorkChecksumDetectsTamper(t *testing.T) {
 	lease := &WorkLease{Shard: 1, Funcs: []string{"memcpy"}}
-	lease.Checksum = lease.ComputeChecksum()
+	Seal(lease)
 	lease.Funcs[0] = "system"
-	if lease.Checksum == lease.ComputeChecksum() {
+	if Verify(lease) == nil {
 		t.Error("function-list tamper not reflected in the lease checksum")
 	}
 
 	res := &WorkResult{Worker: "w", Funcs: []WorkFuncXML{{CacheFuncXML: CacheFuncXML{Name: "f", Probes: 3}}}}
-	res.Checksum = res.ComputeChecksum()
+	Seal(res)
 	res.Funcs[0].Probes = 4
-	if res.Checksum == res.ComputeChecksum() {
+	if Verify(res) == nil {
 		t.Error("probe-count tamper not reflected in the result checksum")
 	}
 }

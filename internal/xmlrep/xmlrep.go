@@ -20,9 +20,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/xml"
+	"errors"
 	"fmt"
-	"io"
-	"strings"
+	"reflect"
 	"time"
 
 	"healers/internal/ctypes"
@@ -217,42 +217,15 @@ type CacheFuncXML struct {
 // entry per (function, injector config) holding the full per-probe record
 // and the derived robust types. Hierarchy is the probe-hierarchy content
 // hash the entries were derived under — a reader whose hierarchy differs
-// must discard the whole document. Checksum is ComputeChecksum() over the
-// entries; a mismatch marks the file corrupted (e.g. a truncated
-// checkpoint) and it must be discarded rather than trusted.
+// must discard the whole document. Checksum is the Seal envelope; a
+// mismatch marks the file corrupted (e.g. a truncated checkpoint) and it
+// must be discarded rather than trusted.
 type CampaignCacheDoc struct {
 	XMLName   xml.Name       `xml:"healers-campaign-cache"`
 	Hierarchy string         `xml:"hierarchy,attr"`
 	Checksum  string         `xml:"checksum,attr,omitempty"`
 	Generated string         `xml:"generated,attr,omitempty"`
 	Funcs     []CacheFuncXML `xml:"function"`
-}
-
-// ComputeChecksum returns the integrity hash of the document's semantic
-// content (hierarchy plus every entry field, in document order). The
-// Generated timestamp and the stored Checksum itself are excluded, so the
-// value is reproducible from a parsed document.
-func (d *CampaignCacheDoc) ComputeChecksum() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "hierarchy=%s\n", d.Hierarchy)
-	for _, f := range d.Funcs {
-		hashCacheFunc(h, &f)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// hashCacheFunc folds one cache entry's semantic content into h — the
-// shared integrity unit of the campaign-cache and work-result documents.
-func hashCacheFunc(h io.Writer, f *CacheFuncXML) {
-	fmt.Fprintf(h, "func=%s key=%s config=%s probes=%d failures=%d nc=%v\n",
-		f.Name, f.Key, f.Config, f.Probes, f.Failures, f.NeedsContainment)
-	for _, p := range f.Params {
-		fmt.Fprintf(h, " param=%s chain=%s level=%s\n", p.Name, p.Chain, p.Level)
-	}
-	for _, r := range f.Results {
-		fmt.Fprintf(h, " probe=%d/%s sat=%d out=%s fault=%d/%d/%s/%s\n",
-			r.Param, r.Probe, r.Sat, r.Outcome, r.FaultKind, r.FaultAddr, r.FaultOp, r.FaultDetail)
-	}
 }
 
 // SeqStepXML is one scripted fault of a sequence run: at the Call-th
@@ -286,8 +259,7 @@ type SeqRunXML struct {
 // SequenceReportDoc is a temporal fault-sequence campaign's result
 // document: the scenario identity, the golden run's call count and
 // committed-state digest, and one entry per fault-combination run.
-// Checksum follows the campaign-cache integrity idiom: reproducible from
-// the parsed document, Generated excluded.
+// Checksum is the Seal envelope, stamped by Stamp.
 type SequenceReportDoc struct {
 	XMLName      xml.Name    `xml:"healers-sequence-report"`
 	Scenario     string      `xml:"scenario,attr"`
@@ -299,39 +271,11 @@ type SequenceReportDoc struct {
 	Runs         []SeqRunXML `xml:"run"`
 }
 
-// ComputeChecksum returns the integrity hash of the sequence report's
-// semantic content (scenario identity plus every run, in document
-// order). Generated and the stored Checksum are excluded, so the value
-// is reproducible from a parsed document.
-func (d *SequenceReportDoc) ComputeChecksum() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "scenario=%s app=%s calls=%d golden=%s\n", d.Scenario, d.App, d.Calls, d.GoldenDigest)
-	for _, r := range d.Runs {
-		fmt.Fprintf(h, "run out=%s exit=%d div=%v fault=%d/%s/%s\n",
-			r.Outcome, r.Exit, r.Diverged, r.FaultKind, r.FaultOp, r.FaultDetail)
-		for _, s := range r.Steps {
-			fmt.Fprintf(h, " step=%d class=%s func=%s\n", s.Call, s.Class, s.Func)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// Stamp sets the Generated timestamp and (re)computes the checksum; call
-// it after filling the runs and before marshalling.
+// Stamp sets the Generated timestamp and seals the document; call it
+// after filling the runs and before marshalling.
 func (d *SequenceReportDoc) Stamp() {
 	d.Generated = timestamp()
-	d.Checksum = d.ComputeChecksum()
-}
-
-// Validate verifies the stored checksum against the recomputed one.
-func (d *SequenceReportDoc) Validate() error {
-	if d.Checksum == "" {
-		return fmt.Errorf("xmlrep: sequence report has no checksum")
-	}
-	if got := d.ComputeChecksum(); got != d.Checksum {
-		return fmt.Errorf("xmlrep: sequence report checksum mismatch")
-	}
-	return nil
+	Seal(d)
 }
 
 // ---------------------------------------------------------------------
@@ -384,16 +328,6 @@ type WorkLease struct {
 	Checksum string   `xml:"checksum,attr,omitempty"`
 }
 
-// ComputeChecksum returns the lease's integrity hash (Checksum itself
-// excluded).
-func (l *WorkLease) ComputeChecksum() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "shard=%d attempt=%d lib=%s stdin=%q preloads=%q config=%s hier=%s lease=%d retry=%d done=%v funcs=%q",
-		l.Shard, l.Attempt, l.Library, l.Stdin, strings.Join(l.Preloads, ","), l.Config,
-		l.Hierarchy, l.LeaseMS, l.RetryMS, l.Done, strings.Join(l.Funcs, ","))
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // WorkFuncXML is one completed function in a work-result document: the
 // campaign-cache entry (key, config, per-probe record, verdicts) plus the
 // worker-side wall time the coordinator's throughput stats attribute to
@@ -420,20 +354,6 @@ type WorkResult struct {
 	CachedLocal bool          `xml:"cached_local,attr,omitempty"`
 	Funcs       []WorkFuncXML `xml:"function"`
 	Checksum    string        `xml:"checksum,attr,omitempty"`
-}
-
-// ComputeChecksum returns the result's integrity hash (Checksum itself
-// excluded). A coordinator discards results whose checksum does not
-// match rather than merging a truncated or corrupted frame.
-func (r *WorkResult) ComputeChecksum() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "worker=%s shard=%d attempt=%d config=%s cached=%v\n",
-		r.Worker, r.Shard, r.Attempt, r.Config, r.CachedLocal)
-	for _, f := range r.Funcs {
-		hashCacheFunc(h, &f.CacheFuncXML)
-		fmt.Fprintf(h, " wall=%d\n", f.WallNS)
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Heartbeat extends a shard lease while a worker grinds through a slow
@@ -469,17 +389,6 @@ type WorkAck struct {
 // so one collector port serves ingest, coordination, policy, and the
 // registry at once.
 
-// EntrySum returns the per-entry integrity hash of one cache entry: the
-// same semantic content the campaign-cache document checksum folds in,
-// hashed alone. The registry stamps it on every entry it serves, so a
-// client can reject an entry corrupted in registry storage even when
-// the surrounding answer frame checksums clean.
-func EntrySum(f *CacheFuncXML) string {
-	h := sha256.New()
-	hashCacheFunc(h, f)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // RegistryGet asks a registry for cache entries by key. With HasOnly
 // set the answer reports presence only (Found/Missing keys, no entry
 // bodies) — the cheap "has" probe a planner uses before deciding what
@@ -492,16 +401,8 @@ type RegistryGet struct {
 	Checksum string   `xml:"checksum,attr,omitempty"`
 }
 
-// ComputeChecksum returns the request's integrity hash (Checksum itself
-// excluded).
-func (g *RegistryGet) ComputeChecksum() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "client=%s has_only=%v keys=%s", g.Client, g.HasOnly, strings.Join(g.Keys, ","))
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // RegistryEntryXML is one served registry entry: the cache entry plus
-// the registry-stamped per-entry integrity hash (see EntrySum). A
+// the registry-stamped per-entry integrity hash, Checksum of the entry. A
 // client must recompute Sum and discard mismatching entries — the worst
 // case is always "probe again", never "trust a corrupted entry".
 type RegistryEntryXML struct {
@@ -520,19 +421,6 @@ type RegistryAnswer struct {
 	Checksum string             `xml:"checksum,attr,omitempty"`
 }
 
-// ComputeChecksum returns the answer's integrity hash (Checksum itself
-// excluded). A client discards answers whose checksum does not match
-// rather than trusting a truncated or corrupted frame.
-func (a *RegistryAnswer) ComputeChecksum() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "found=%s missing=%s\n", strings.Join(a.Found, ","), strings.Join(a.Missing, ","))
-	for i := range a.Funcs {
-		hashCacheFunc(h, &a.Funcs[i].CacheFuncXML)
-		fmt.Fprintf(h, " sum=%s\n", a.Funcs[i].Sum)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // RegistryPut pushes freshly derived cache entries to a registry.
 // Hierarchy is the pusher's probe-hierarchy version, recorded with the
 // stored entries for diagnostics (the keys already pin it — entries
@@ -543,18 +431,6 @@ type RegistryPut struct {
 	Hierarchy string         `xml:"hierarchy,attr,omitempty"`
 	Funcs     []CacheFuncXML `xml:"function"`
 	Checksum  string         `xml:"checksum,attr,omitempty"`
-}
-
-// ComputeChecksum returns the put's integrity hash (Checksum itself
-// excluded). A registry refuses puts whose checksum does not match —
-// storing a truncated frame would poison every future warm sweep.
-func (p *RegistryPut) ComputeChecksum() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "client=%s hierarchy=%s\n", p.Client, p.Hierarchy)
-	for i := range p.Funcs {
-		hashCacheFunc(h, &p.Funcs[i])
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // RegistryAck answers a put: how many entries the registry stored
@@ -596,10 +472,10 @@ type PolicyRuleXML struct {
 //
 // Revision and Checksum make the document a control-plane artifact: a
 // running engine only hot-reloads a document whose Revision is strictly
-// greater than the one it runs, and whose Checksum matches
-// ComputeChecksum() — a truncated, tampered, or hand-edited-but-unstamped
-// document is rejected and the old rules stay in force. Revision 0 marks
-// an unstamped document (initial-load only, never hot-reloadable).
+// greater than the one it runs, and whose Seal envelope verifies — a
+// truncated, tampered, or hand-edited-but-unstamped document is rejected
+// and the old rules stay in force. Revision 0 marks an unstamped document
+// (initial-load only, never hot-reloadable).
 type PolicyDoc struct {
 	XMLName          xml.Name        `xml:"healers-policy"`
 	Generated        string          `xml:"generated,attr,omitempty"`
@@ -621,26 +497,11 @@ func NewPolicyDoc(threshold, windowMS int, rules []PolicyRuleXML) *PolicyDoc {
 	}
 }
 
-// ComputeChecksum returns the integrity hash of the document's semantic
-// content: revision, breaker parameters, and every rule field in document
-// order. Generated and the stored Checksum itself are excluded, so the
-// value is reproducible from a parsed document.
-func (d *PolicyDoc) ComputeChecksum() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "rev=%d threshold=%d window=%d\n", d.Revision, d.BreakerThreshold, d.BreakerWindowMS)
-	for _, r := range d.Rules {
-		fmt.Fprintf(h, " rule func=%s class=%s action=%s retries=%d backoff=%d value=%d breaker=%d\n",
-			r.Func, r.Class, r.Action, r.Retries, r.BackoffMS, r.Value, r.BreakerThreshold)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // Stamp versions the document for hot-reload: it sets Revision and
-// recomputes Checksum over the final content. Call it last, after every
-// rule edit.
+// seals the final content. Call it last, after every rule edit.
 func (d *PolicyDoc) Stamp(revision int) {
 	d.Revision = revision
-	d.Checksum = d.ComputeChecksum()
+	Seal(d)
 }
 
 // Validate checks the document's structural integrity: every rule's
@@ -653,10 +514,8 @@ func (d *PolicyDoc) Validate() error {
 	if d.Revision < 0 {
 		return fmt.Errorf("xmlrep: policy: negative revision %d", d.Revision)
 	}
-	if d.Checksum != "" {
-		if want := d.ComputeChecksum(); d.Checksum != want {
-			return fmt.Errorf("xmlrep: policy: checksum mismatch (document corrupted or edited without restamping)")
-		}
+	if d.Checksum != "" && Verify(d) != nil {
+		return fmt.Errorf("xmlrep: policy: checksum mismatch (document corrupted or edited without restamping)")
 	}
 	for i, r := range d.Rules {
 		if _, ok := gen.ContainActionByName(r.Action); !ok {
@@ -919,6 +778,77 @@ func Marshal(doc any) ([]byte, error) {
 	return append([]byte(xml.Header), append(body, '\n')...), nil
 }
 
+// MustMarshal is Marshal for documents that cannot fail to marshal — a
+// handler's fixed-shape response frames. An error is a programming bug.
+func MustMarshal(doc any) []byte {
+	data, err := Marshal(doc)
+	if err != nil {
+		panic(err)
+	}
+	return data
+}
+
+// Checksum is the one integrity hash of every checksummed document: the
+// hex sha256 of doc's xml.Marshal with its Checksum and Generated fields
+// cleared, so the value is reproducible from a parsed document and
+// independent of when it was stamped. Hashing the marshalled form covers
+// every serialized field, and XML quoting keeps field boundaries
+// unambiguous. doc points at one of the package's document structs, or
+// at a CacheFuncXML (the registry's per-entry integrity unit).
+func Checksum(doc any) string {
+	v := reflect.ValueOf(doc).Elem()
+	c := reflect.New(v.Type())
+	c.Elem().Set(v)
+	for _, name := range [...]string{"Checksum", "Generated"} {
+		if f := c.Elem().FieldByName(name); f.IsValid() {
+			f.SetString("")
+		}
+	}
+	// Encoding straight into the hash is xml.Marshal without the buffer.
+	h := sha256.New()
+	if err := xml.NewEncoder(h).Encode(c.Interface()); err != nil {
+		// The document structs hold only strings, integers, bools and
+		// slices of them, which always marshal.
+		panic(fmt.Sprintf("xmlrep: checksum: %v", err))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// Seal stamps doc's Checksum field with Checksum(doc). Call it last,
+// after every other field is final.
+func Seal(doc any) {
+	reflect.ValueOf(doc).Elem().FieldByName("Checksum").SetString(Checksum(doc))
+}
+
+// Verify checks doc's stored Checksum against its content. A missing
+// checksum fails too; a caller for which the checksum is optional tests
+// for an empty Checksum first.
+func Verify(doc any) error {
+	switch stored := reflect.ValueOf(doc).Elem().FieldByName("Checksum").String(); stored {
+	case "":
+		return errors.New("xmlrep: document has no checksum")
+	case Checksum(doc):
+		return nil
+	default:
+		return errors.New("xmlrep: checksum mismatch")
+	}
+}
+
+// kinds maps each registered root element to its document kind: a kind
+// is its root element with the "healers-" prefix removed.
+var kinds = func() map[string]DocKind {
+	m := make(map[string]DocKind)
+	for _, k := range []DocKind{
+		KindDeclarations, KindRobustAPI, KindProfile, KindCampaignCache, KindPolicy,
+		KindSequenceReport, KindPolicyRequest, KindPolicyAck,
+		KindWorkRequest, KindWorkLease, KindWorkResult, KindHeartbeat, KindWorkAck,
+		KindRegistryGet, KindRegistryPut, KindRegistryAnswer, KindRegistryAck,
+	} {
+		m["healers-"+string(k)] = k
+	}
+	return m
+}()
+
 // Kind sniffs a marshalled document's kind from its root element.
 func Kind(data []byte) (DocKind, error) {
 	dec := xml.NewDecoder(bytes.NewReader(data))
@@ -928,44 +858,10 @@ func Kind(data []byte) (DocKind, error) {
 			return "", fmt.Errorf("xmlrep: sniffing document kind: %w", err)
 		}
 		if se, ok := tok.(xml.StartElement); ok {
-			switch se.Name.Local {
-			case "healers-declarations":
-				return KindDeclarations, nil
-			case "healers-robust-api":
-				return KindRobustAPI, nil
-			case "healers-profile":
-				return KindProfile, nil
-			case "healers-campaign-cache":
-				return KindCampaignCache, nil
-			case "healers-sequence-report":
-				return KindSequenceReport, nil
-			case "healers-policy":
-				return KindPolicy, nil
-			case "healers-policy-request":
-				return KindPolicyRequest, nil
-			case "healers-policy-ack":
-				return KindPolicyAck, nil
-			case "healers-work-request":
-				return KindWorkRequest, nil
-			case "healers-work-lease":
-				return KindWorkLease, nil
-			case "healers-work-result":
-				return KindWorkResult, nil
-			case "healers-heartbeat":
-				return KindHeartbeat, nil
-			case "healers-work-ack":
-				return KindWorkAck, nil
-			case "healers-registry-get":
-				return KindRegistryGet, nil
-			case "healers-registry-put":
-				return KindRegistryPut, nil
-			case "healers-registry-answer":
-				return KindRegistryAnswer, nil
-			case "healers-registry-ack":
-				return KindRegistryAck, nil
-			default:
-				return "", fmt.Errorf("xmlrep: unknown document root %q", se.Name.Local)
+			if k, ok := kinds[se.Name.Local]; ok {
+				return k, nil
 			}
+			return "", fmt.Errorf("xmlrep: unknown document root %q", se.Name.Local)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package xmlrep
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -160,5 +162,159 @@ func TestKindErrors(t *testing.T) {
 	}
 	if _, err := Kind([]byte("not xml at all")); err == nil {
 		t.Error("non-XML accepted")
+	}
+}
+
+// checksummed maps every checksummed document kind to a constructor of
+// its document type.
+var checksummed = map[DocKind]func() any{
+	KindCampaignCache:  func() any { return new(CampaignCacheDoc) },
+	KindSequenceReport: func() any { return new(SequenceReportDoc) },
+	KindPolicy:         func() any { return new(PolicyDoc) },
+	KindWorkLease:      func() any { return new(WorkLease) },
+	KindWorkResult:     func() any { return new(WorkResult) },
+	KindRegistryGet:    func() any { return new(RegistryGet) },
+	KindRegistryAnswer: func() any { return new(RegistryAnswer) },
+	KindRegistryPut:    func() any { return new(RegistryPut) },
+}
+
+// checksumSamples returns one unsealed document of every checksummed kind,
+// with every slice non-empty so every nested field is present.
+func checksumSamples() map[DocKind]any {
+	entry := sampleCacheDoc().Funcs[0]
+	return map[DocKind]any{
+		KindCampaignCache: sampleCacheDoc(),
+		KindSequenceReport: &SequenceReportDoc{
+			Scenario: "textutil-words", App: "textutil", Calls: 9, GoldenDigest: "abc123",
+			Runs: []SeqRunXML{{
+				Steps:   []SeqStepXML{{Call: 3, Class: "crash", Func: "strdup"}},
+				Outcome: "crash", Exit: 139, Diverged: true,
+				FaultKind: 2, FaultOp: "write", FaultDetail: "unmapped",
+			}},
+		},
+		KindPolicy: &PolicyDoc{
+			Revision: 2, BreakerThreshold: 3, BreakerWindowMS: 1000,
+			Rules: []PolicyRuleXML{{
+				Func: "strcpy", Class: "crash", Action: "retry",
+				Retries: 2, BackoffMS: 5, Value: -1, BreakerThreshold: 1,
+			}},
+		},
+		KindWorkLease: &WorkLease{
+			Shard: 2, Attempt: 3, Library: "libc.so.6", Stdin: "seed",
+			Preloads: []string{"libhealers_rob.so"}, Config: "cafe0123",
+			Hierarchy: "v1", LeaseMS: 30000, RetryMS: 250,
+			Funcs: []string{"memcpy", "strlen"},
+		},
+		KindWorkResult: &WorkResult{
+			Worker: "w1", Shard: 2, Attempt: 3, Config: "cafe0123",
+			Funcs: []WorkFuncXML{{CacheFuncXML: entry, WallNS: 12345}},
+		},
+		KindRegistryGet: &RegistryGet{Client: "runner-1", Keys: []string{"k1", "k2"}},
+		KindRegistryAnswer: &RegistryAnswer{
+			Funcs: []RegistryEntryXML{{CacheFuncXML: entry, Sum: Checksum(&entry)}},
+			Found: []string{"k1"}, Missing: []string{"k2"},
+		},
+		KindRegistryPut: &RegistryPut{Client: "runner-1", Hierarchy: "v1", Funcs: []CacheFuncXML{entry}},
+	}
+}
+
+// leaves calls visit on every scalar field reachable from v through
+// struct fields and slice elements, skipping XMLName and the envelope's
+// own Checksum and Generated fields. An empty slice is reported as an
+// error: the sample would leave its element fields untested.
+func leaves(t *testing.T, v reflect.Value, path string, visit func(string, reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			switch name := v.Type().Field(i).Name; name {
+			case "XMLName", "Checksum", "Generated":
+			default:
+				leaves(t, v.Field(i), path+"."+name, visit)
+			}
+		}
+	case reflect.Slice:
+		if v.Len() == 0 {
+			t.Errorf("%s: empty slice in the sample", path)
+		}
+		for i := 0; i < v.Len(); i++ {
+			leaves(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i), visit)
+		}
+	default:
+		visit(path, v)
+	}
+}
+
+// TestEnvelopeCoversEveryField is the envelope table: for every
+// checksummed kind, changing any single serialized field makes Verify
+// fail, while changing only the Generated timestamp leaves it passing.
+func TestEnvelopeCoversEveryField(t *testing.T) {
+	samples := checksumSamples()
+	if len(samples) != len(checksummed) {
+		t.Fatalf("%d samples for %d checksummed kinds", len(samples), len(checksummed))
+	}
+	for kind, doc := range samples {
+		t.Run(string(kind), func(t *testing.T) {
+			if err := Verify(doc); err == nil {
+				t.Fatal("an unsealed document verified")
+			}
+			Seal(doc)
+			if err := Verify(doc); err != nil {
+				t.Fatalf("freshly sealed document: %v", err)
+			}
+			if g := reflect.ValueOf(doc).Elem().FieldByName("Generated"); g.IsValid() {
+				g.SetString("2026-08-06T00:00:00Z")
+				if err := Verify(doc); err != nil {
+					t.Errorf("Generated is covered by the checksum: %v", err)
+				}
+			}
+			n := 0
+			leaves(t, reflect.ValueOf(doc).Elem(), string(kind), func(path string, f reflect.Value) {
+				n++
+				old := reflect.New(f.Type()).Elem()
+				old.Set(f)
+				switch f.Kind() {
+				case reflect.String:
+					f.SetString(f.String() + "x")
+				case reflect.Bool:
+					f.SetBool(!f.Bool())
+				case reflect.Int, reflect.Int32, reflect.Int64:
+					f.SetInt(f.Int() + 1)
+				case reflect.Uint32, reflect.Uint64:
+					f.SetUint(f.Uint() + 1)
+				default:
+					t.Fatalf("%s: unhandled field kind %s", path, f.Kind())
+				}
+				if Verify(doc) == nil {
+					t.Errorf("%s: changed field still verifies", path)
+				}
+				f.Set(old)
+			})
+			if err := Verify(doc); err != nil || n == 0 {
+				t.Errorf("after %d restored mutations: %v", n, err)
+			}
+		})
+	}
+}
+
+// TestChecksumFieldBoundaries: values that only differ in where one
+// field ends and the next begins must not collide — the failure of a
+// separator-joined field encoding.
+func TestChecksumFieldBoundaries(t *testing.T) {
+	fault := func(op, detail string) *CampaignCacheDoc {
+		doc := sampleCacheDoc()
+		doc.Funcs[0].Results[0].FaultOp, doc.Funcs[0].Results[0].FaultDetail = op, detail
+		return doc
+	}
+	for _, tc := range []struct {
+		name string
+		a, b any
+	}{
+		{"lease preloads", &WorkLease{Preloads: []string{"a,b"}}, &WorkLease{Preloads: []string{"a", "b"}}},
+		{"fault op/detail", fault("x/y", "z"), fault("x", "y/z")},
+		{"registry keys", &RegistryGet{Keys: []string{"a,b"}}, &RegistryGet{Keys: []string{"a", "b"}}},
+	} {
+		if Checksum(tc.a) == Checksum(tc.b) {
+			t.Errorf("%s: distinct documents share a checksum", tc.name)
+		}
 	}
 }
