@@ -1,4 +1,4 @@
-.PHONY: check build test bench docs verify-api ci ci-check ci-race ci-bench-smoke ci-docs
+.PHONY: check build test bench docs fuzz verify-api ci ci-check ci-race ci-bench-smoke ci-docs
 
 # Tier-1 gate: build + vet + full test suite under the race detector
 # (scripts/check.sh also runs the docs checks, the robustness gate
@@ -16,8 +16,9 @@ verify-api:
 # `make ci` chains all four so CI is reproducible locally in one command.
 ci: ci-check ci-race ci-bench-smoke ci-docs
 
-# Build + vet + tests, the robustness gate, and both end-to-end smokes
-# (distributed sweep and shared-registry warm sweep).
+# Build + vet + tests, the robustness gate, both end-to-end smokes
+# (distributed sweep and shared-registry warm sweep), and the short
+# fuzzing sessions.
 ci-check:
 	go build ./...
 	go vet ./...
@@ -25,6 +26,15 @@ ci-check:
 	sh scripts/verify-api.sh
 	sh scripts/smoke-distributed.sh
 	sh scripts/smoke-registry.sh
+	$(MAKE) fuzz
+
+# Every native fuzz target for 10 s each (go test fuzzes one target per
+# run). Plain `go test` already runs their checked-in seed corpora; a
+# failing input lands in the package's testdata/fuzz directory.
+fuzz:
+	go test -run '^$$' -fuzz '^FuzzKind$$' -fuzztime 10s ./internal/xmlrep
+	go test -run '^$$' -fuzz '^FuzzSpanAccess$$' -fuzztime 10s ./internal/cmem
+	go test -run '^$$' -fuzz '^FuzzParseChaos$$' -fuzztime 10s ./internal/cmem
 
 # Full suite under the race detector, plus the chaos-soak smoke: a
 # bounded contained soak of the streaming rootd daemon that must

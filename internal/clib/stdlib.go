@@ -58,10 +58,8 @@ func cCalloc(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
 		env.Errno = cval.ENOMEM
 		return cval.Ptr(0), nil
 	}
-	for i := uint32(0); i < total; i++ {
-		if f := env.Img.Space.WriteByteAt(p+cmem.Addr(i), 0); f != nil {
-			return 0, f
-		}
+	if f := env.Img.Space.Fill(p, total, 0); f != nil {
+		return 0, f
 	}
 	return cval.Ptr(p), nil
 }

@@ -508,12 +508,8 @@ func cMemmove(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
 func cMemset(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
 	s := arg(args, 0).Addr()
 	c := arg(args, 1).Byte()
-	n := arg(args, 2).Uint32()
-	sp := env.Img.Space
-	for i := uint32(0); i < n; i++ {
-		if f := sp.WriteByteAt(s+cmem.Addr(i), c); f != nil {
-			return 0, f
-		}
+	if f := env.Img.Space.Fill(s, arg(args, 2).Uint32(), c); f != nil {
+		return 0, f
 	}
 	return cval.Ptr(s), nil
 }

@@ -108,8 +108,8 @@ func NewChaos(rate float64, seed uint64) *Chaos {
 // ParseChaos parses a "RATE" or "RATE:SEED" specification (the
 // HEALERS_CHAOS environment-variable format), e.g. "0.05" or
 // "0.02:1234". An empty spec means chaos stays disarmed: (nil, nil). A
-// malformed spec — unparseable rate, out-of-range rate, trailing
-// garbage after the seed — is an error, never a silently mis-armed
+// malformed spec — unparseable or NaN rate, a rate outside [2^-32, 1],
+// trailing garbage after the seed — is an error, never a silently mis-armed
 // injector. A seedless spec uses seed 0, which NewChaos folds to its
 // fixed constant, so HEALERS_CHAOS=0.05 and NewChaos(0.05, 0) replay
 // the identical fault sequence.
@@ -122,8 +122,10 @@ func ParseChaos(spec string) (*Chaos, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cmem: chaos spec %q: bad rate: %w", spec, err)
 	}
-	if rate <= 0 || rate > 1 {
-		return nil, fmt.Errorf("cmem: chaos spec %q: rate must be in (0,1]", spec)
+	// Written so that NaN fails it too. A rate below 2^-32 would arm an
+	// injector that never fires, which "0" already refuses to do.
+	if !(rate >= 1.0/(1<<32) && rate <= 1) {
+		return nil, fmt.Errorf("cmem: chaos spec %q: rate must be in [2^-32, 1]", spec)
 	}
 	var seed uint64
 	if hasSeed {

@@ -1,6 +1,9 @@
 package cmem
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestChaosDeterminism(t *testing.T) {
 	a := NewChaos(0.25, 42)
@@ -57,7 +60,7 @@ func TestParseChaos(t *testing.T) {
 	if c, err := ParseChaos(""); c != nil || err != nil {
 		t.Errorf("empty spec: got (%v, %v), want (nil, nil)", c, err)
 	}
-	for _, bad := range []string{"zero", "-1", "0", "1.5", "0.5:notanumber", "0.05:12x", "0.05:12:9"} {
+	for _, bad := range []string{"zero", "-1", "0", "1.5", "0.5:notanumber", "0.05:12x", "0.05:12:9", "NaN", "1e-20"} {
 		c, err := ParseChaos(bad)
 		if err == nil {
 			t.Errorf("malformed spec %q accepted", bad)
@@ -154,4 +157,28 @@ func TestScriptedChaosEmptyScriptCounts(t *testing.T) {
 	if c.Ops != nil {
 		t.Errorf("ops recorded without TraceOps: %v", c.Ops)
 	}
+}
+
+// FuzzParseChaos: no spec panics, and an accepted spec round-trips: its
+// rate and seed rendered back in the RATE:SEED format parse to the same
+// injector.
+func FuzzParseChaos(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		c, err := ParseChaos(spec)
+		if err != nil || c == nil {
+			if c != nil {
+				t.Fatalf("ParseChaos(%q) returned an injector with error %v", spec, err)
+			}
+			return
+		}
+		again := fmt.Sprintf("%s:%d", c.Spec(), c.state)
+		back, err := ParseChaos(again)
+		if err != nil {
+			t.Fatalf("ParseChaos(%q) accepted, its rendering %q rejected: %v", spec, again, err)
+		}
+		if back.threshold != c.threshold || back.state != c.state {
+			t.Fatalf("ParseChaos(%q) = (threshold %d, seed %d), round trip via %q = (%d, %d)",
+				spec, c.threshold, c.state, again, back.threshold, back.state)
+		}
+	})
 }

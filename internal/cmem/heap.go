@@ -35,6 +35,9 @@ type chunk struct {
 	// req is the size the application asked for; the usable tail beyond
 	// req (alignment padding) is still inside the chunk.
 	req uint32
+	// canary records whether Malloc placed a trailing canary; an in-place
+	// Realloc keeps the chunk and with it this decision.
+	canary bool
 
 	prev, next *chunk // address-ordered neighbours
 }
@@ -92,9 +95,8 @@ func NewHeap(sp *Space, base, limit Addr) *Heap {
 }
 
 // SetCanaries toggles canary placement for future allocations. Existing
-// chunks keep whatever guard they were born with (each chunk remembers via
-// its size; see canaried map below — chunks allocated without canaries are
-// never canary-checked).
+// chunks keep whatever guard they were born with (chunk.canary — chunks
+// allocated without canaries are never canary-checked).
 func (h *Heap) SetCanaries(on bool) { h.canaries = on }
 
 // CanariesEnabled reports whether new allocations receive canaries.
@@ -198,16 +200,18 @@ func (h *Heap) Malloc(n uint32) Addr {
 	}
 	c.used = true
 	c.req = n
+	// A chunk gets a canary iff its span has room for one past the
+	// rounded request: chunkSpan added it, or a reused free chunk had
+	// that much slack.
+	c.canary = c.size >= chunkHeader+round8(max32(n, 1))+canarySize
 	h.writeHeader(c)
 	h.byUser[c.user()] = c
 	// Junk-fill the user area and place the canary, fuel-exempt.
 	f := h.exemptFuel(func() *Fault {
-		for i := uint32(0); i < round8(max32(n, 1)); i++ {
-			if f := h.sp.WriteByteAt(c.user()+Addr(i), mallocFill); f != nil {
-				return f
-			}
+		if f := h.sp.Fill(c.user(), round8(max32(n, 1)), mallocFill); f != nil {
+			return f
 		}
-		if h.hasCanary(c) {
+		if c.canary {
 			return h.sp.WriteU64(c.canaryAddr(), h.canaryValue(c.base))
 		}
 		return nil
@@ -227,12 +231,6 @@ func max32(a, b uint32) uint32 {
 		return a
 	}
 	return b
-}
-
-// hasCanary reports whether chunk c was allocated with a trailing canary.
-// A chunk has one iff its span exceeds header+rounded-request.
-func (h *Heap) hasCanary(c *chunk) bool {
-	return c.size >= chunkHeader+round8(max32(c.req, 1))+canarySize
 }
 
 // findFit returns the first free chunk with size >= span.
@@ -354,7 +352,7 @@ func (h *Heap) Realloc(p Addr, n uint32) (Addr, *Fault) {
 		return 0, f
 	}
 	h.stats.Reallocs++
-	if round8(n)+chunkHeader <= c.size && (!h.hasCanary(c) || round8(n)+chunkHeader+canarySize <= c.size) {
+	if round8(n)+chunkHeader <= c.size && (!c.canary || round8(n)+chunkHeader+canarySize <= c.size) {
 		// Shrink in place.
 		h.stats.InUseBytes += uint64(n) - uint64(c.req)
 		c.req = n
@@ -423,7 +421,7 @@ func (h *Heap) checkChunk(c *chunk) *Fault {
 		return overflow("heapcheck", c.base,
 			fmt.Sprintf("chunk header smashed (size %d!=%d or magic %#x!=%#x)", sz, c.size, magic, wantMagic))
 	}
-	if c.used && h.hasCanary(c) {
+	if c.used && c.canary {
 		got, f := h.sp.ReadU64(c.canaryAddr())
 		if f != nil {
 			return f

@@ -546,3 +546,40 @@ func TestFuelBudget(t *testing.T) {
 		t.Errorf("read after disarm: %v", f)
 	}
 }
+
+// TestReallocShrinkThenFree pins that an in-place shrink keeps the chunk's
+// canary decision: a chunk allocated without a canary must not be
+// canary-checked after shrinking (its slack past the new request used to
+// be mistaken for a canary, failing the later free), and a canaried chunk
+// keeps its canary checked.
+func TestReallocShrinkThenFree(t *testing.T) {
+	for _, canaries := range []bool{false, true} {
+		sp := NewSpace()
+		h := NewHeap(sp, HeapBase, HeapLimit)
+		h.SetCanaries(canaries)
+		p := h.Malloc(16)
+		q, f := h.Realloc(p, 8)
+		if f != nil || q != p {
+			t.Fatalf("canaries=%v: shrink = %s, %v; want in place", canaries, q, f)
+		}
+		if f := h.CheckIntegrity(); f != nil {
+			t.Fatalf("canaries=%v: integrity after shrink: %v", canaries, f)
+		}
+		if canaries {
+			// The canary still guards the chunk: smash it and free.
+			r := h.Malloc(16)
+			if _, f := h.Realloc(r, 8); f != nil {
+				t.Fatal(f)
+			}
+			if f := sp.WriteByteAt(r+16, 0x41); f != nil {
+				t.Fatal(f)
+			}
+			if f := h.Free(r); f == nil || f.Kind != FaultOverflow {
+				t.Errorf("free of smashed shrunk chunk: fault = %v, want OVERFLOW", f)
+			}
+		}
+		if f := h.Free(q); f != nil {
+			t.Errorf("canaries=%v: free after shrink: %v", canaries, f)
+		}
+	}
+}

@@ -93,7 +93,7 @@ func (s *Space) RollbackJournal() {
 			if e.old == 0 {
 				continue // lazily-zero page, pre-image was zero anyway
 			}
-			pg.data = make([]byte, PageSize)
+			pg.data = new([PageSize]byte)
 		}
 		pg.data[e.addr&pageMask] = e.old
 	}
@@ -205,7 +205,7 @@ func (s *Space) CorruptJournaledByte() (Addr, bool) {
 	}
 	pg := s.pageOf(a)
 	if pg.data == nil {
-		pg.data = make([]byte, PageSize)
+		pg.data = new([PageSize]byte)
 	}
 	s.journalWrite(pg, a)
 	pg.data[a&pageMask] ^= 0xff

@@ -1,6 +1,10 @@
 package cmem
 
-import "testing"
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+)
 
 func TestJournalRollbackRestoresPreImages(t *testing.T) {
 	sp := NewSpace()
@@ -316,5 +320,167 @@ func TestCorruptJournaledBytePrefersDurable(t *testing.T) {
 	}
 	if b[0] != 0 {
 		t.Errorf("byte after rollback = %#x, want 0", b[0])
+	}
+}
+
+// journalModel is the naive reference for the write journal: a full
+// snapshot of memory per nesting level, plus the addresses each level has
+// written in order (what CorruptJournaledByte chooses from).
+type journalModel struct {
+	mem       [3 * PageSize]byte
+	snapshots [][3 * PageSize]byte
+	written   [][]Addr
+}
+
+// The model covers two durable heap pages and one stack page above
+// HeapLimit.
+var journalModelPages = [3]Addr{HeapBase, HeapBase + PageSize, StackTop - PageSize}
+
+func journalModelIndex(a Addr) int {
+	for i, base := range journalModelPages {
+		if a >= base && a < base+PageSize {
+			return i*PageSize + int(a-base)
+		}
+	}
+	panic("address outside the journal model")
+}
+
+func (m *journalModel) store(a Addr, v byte) {
+	m.mem[journalModelIndex(a)] = v
+	if n := len(m.written); n > 0 {
+		m.written[n-1] = append(m.written[n-1], a)
+	}
+}
+
+func (m *journalModel) diff() []JournalDiffEntry {
+	if len(m.snapshots) == 0 {
+		return nil
+	}
+	snap := &m.snapshots[len(m.snapshots)-1]
+	var diff []JournalDiffEntry
+	for _, base := range journalModelPages { // ascending addresses
+		for off := Addr(0); off < PageSize; off++ {
+			i := journalModelIndex(base + off)
+			if m.mem[i] != snap[i] {
+				diff = append(diff, JournalDiffEntry{Addr: base + off, Old: snap[i], New: m.mem[i]})
+			}
+		}
+	}
+	return diff
+}
+
+// corruptPick is CorruptJournaledByte's documented choice: the newest
+// durable byte the window wrote, else the newest byte at all.
+func (m *journalModel) corruptPick() (Addr, bool) {
+	if len(m.written) == 0 {
+		return 0, false
+	}
+	w := m.written[len(m.written)-1]
+	for i := len(w) - 1; i >= 0; i-- {
+		if w[i] < HeapLimit {
+			return w[i], true
+		}
+	}
+	if len(w) == 0 {
+		return 0, false
+	}
+	return w[len(w)-1], true
+}
+
+// TestJournalMatchesSnapshotModel runs random nested begin, write, fill,
+// corrupt, commit and rollback sequences and checks memory after every
+// RollbackJournal and every JournalDiff against the snapshot model.
+func TestJournalMatchesSnapshotModel(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sp := NewSpace()
+		for _, base := range journalModelPages {
+			if f := sp.Map(base, PageSize, ProtRW); f != nil {
+				t.Fatal(f)
+			}
+		}
+		m := &journalModel{}
+		randAddr := func(n int) Addr {
+			base := journalModelPages[rng.Intn(3)]
+			if base == HeapBase {
+				// The two heap pages are contiguous: spans may cross.
+				return base + Addr(rng.Intn(2*PageSize-n+1))
+			}
+			return base + Addr(rng.Intn(PageSize-n+1))
+		}
+		for step := 0; step < 120; step++ {
+			var what string
+			switch op := rng.Intn(10); {
+			case op < 2:
+				what = "begin"
+				sp.BeginJournal()
+				m.snapshots = append(m.snapshots, m.mem)
+				m.written = append(m.written, nil)
+			case op < 4:
+				n := 1 + rng.Intn(64)
+				a := randAddr(n)
+				src := make([]byte, n)
+				rng.Read(src)
+				what = "write"
+				if f := sp.Write(a, src); f != nil {
+					t.Fatal(f)
+				}
+				for i, v := range src {
+					m.store(a+Addr(i), v)
+				}
+			case op < 6:
+				n := 1 + rng.Intn(300)
+				a, v := randAddr(n), byte(rng.Intn(4))
+				what = "fill"
+				if f := sp.Fill(a, uint32(n), v); f != nil {
+					t.Fatal(f)
+				}
+				for i := 0; i < n; i++ {
+					m.store(a+Addr(i), v)
+				}
+			case op == 6:
+				what = "corrupt"
+				got, gotOK := sp.CorruptJournaledByte()
+				want, wantOK := m.corruptPick()
+				if got != want || gotOK != wantOK {
+					t.Fatalf("seed %d step %d: CorruptJournaledByte = %s, %v; model %s, %v", seed, step, got, gotOK, want, wantOK)
+				}
+				if gotOK {
+					m.store(got, m.mem[journalModelIndex(got)]^0xff)
+				}
+			case op == 7:
+				what = "commit"
+				sp.CommitJournal()
+				if n := len(m.snapshots); n > 0 {
+					inner := m.written[n-1]
+					m.snapshots, m.written = m.snapshots[:n-1], m.written[:n-1]
+					if n > 1 {
+						m.written[n-2] = append(m.written[n-2], inner...)
+					}
+				}
+			default:
+				what = "rollback"
+				sp.RollbackJournal()
+				if n := len(m.snapshots); n > 0 {
+					m.mem = m.snapshots[n-1]
+					m.snapshots, m.written = m.snapshots[:n-1], m.written[:n-1]
+				}
+			}
+			for i, base := range journalModelPages {
+				got := make([]byte, PageSize)
+				if f := sp.Read(base, got); f != nil {
+					t.Fatal(f)
+				}
+				if want := m.mem[i*PageSize : (i+1)*PageSize]; string(got) != string(want) {
+					t.Fatalf("seed %d step %d (%s): page %s differs from the model", seed, step, what, base)
+				}
+			}
+			if got, want := sp.JournalDiff(), m.diff(); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d (%s): JournalDiff = %v, model %v", seed, step, what, got, want)
+			}
+			if sp.JournalActive() != (len(m.snapshots) > 0) {
+				t.Fatalf("seed %d step %d (%s): JournalActive = %v at depth %d", seed, step, what, sp.JournalActive(), len(m.snapshots))
+			}
+		}
 	}
 }

@@ -1,7 +1,11 @@
 package cmem
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 )
 
@@ -53,14 +57,29 @@ func (p Prot) String() string {
 	return b.String()
 }
 
-// page is one mapped page of the address space.
-// The backing bytes are allocated lazily on first store — a freshly
-// mapped page reads as zeros — so that creating a process image (the
-// fault injector makes thousands) costs map entries, not megabytes.
+// page is one slot of the page table. The backing bytes are allocated
+// lazily on first store — a freshly mapped page reads as zeros — so that
+// creating a process image (the fault injector makes thousands) costs page
+// table slots, not megabytes.
 type page struct {
-	data []byte
-	prot Prot
+	data   *[PageSize]byte
+	prot   Prot
+	mapped bool
 }
+
+// The page table splits a 20-bit page number into a root index and a leaf
+// index. A leaf covers 2 MiB of address space in 8 KiB of table, so the
+// canonical image (rodata, data, stack, heap and the injector's cliffs)
+// touches six leaves and its table is smaller than a map of its pages.
+const (
+	leafBits  = 9
+	leafPages = 1 << leafBits
+	leafMask  = leafPages - 1
+	rootLen   = 1 << (32 - pageShift - leafBits)
+)
+
+// leaf is one second-level block of the page table.
+type leaf [leafPages]page
 
 // Layout constants for the canonical process image. They match the
 // 32-bit Unix convention closely enough that diagnostic output is familiar.
@@ -82,8 +101,15 @@ const (
 // construct with NewSpace. Space is not safe for concurrent use: each
 // simulated process owns exactly one and simulated execution is sequential,
 // matching a single-threaded probe child.
+//
+// Bulk accesses (Read, Write, Fill, CStrLen, ReadCString and the wide
+// loads and stores) work one page span at a time but behave exactly like
+// the equivalent sequence of ReadByteAt/WriteByteAt calls: the same fuel,
+// the same load/store counts, the same journal entries, and the same fault
+// at the same byte (DESIGN.md §3, "The cmem access contract").
 type Space struct {
-	pages map[Addr]*page
+	root   [rootLen]*leaf
+	npages int
 
 	// loads/stores count accesses, for the profiling demo's statistics.
 	loads  uint64
@@ -103,7 +129,7 @@ type Space struct {
 // NewSpace returns an empty address space with no mappings (every access
 // faults until Map is called).
 func NewSpace() *Space {
-	return &Space{pages: make(map[Addr]*page), fuel: -1}
+	return &Space{fuel: -1}
 }
 
 // SetFuel arms (n >= 0) or disarms (n < 0) the access budget. The fault
@@ -121,15 +147,31 @@ func (s *Space) burn(op string, a Addr) *Fault {
 		return nil
 	}
 	if s.fuel == 0 {
-		return &Fault{Kind: FaultHang, Addr: a, Op: op, Detail: "access budget exhausted"}
+		return hang(op, a)
 	}
 	s.fuel--
 	return nil
 }
 
+// hang builds the fuel-exhaustion fault.
+func hang(op string, a Addr) *Fault {
+	return &Fault{Kind: FaultHang, Addr: a, Op: op, Detail: "access budget exhausted"}
+}
+
 // pageOf returns the page containing a, or nil if unmapped.
 func (s *Space) pageOf(a Addr) *page {
-	return s.pages[a>>pageShift]
+	pn := a >> pageShift
+	l := s.root[pn>>leafBits]
+	if l == nil || !l[pn&leafMask].mapped {
+		return nil
+	}
+	return &l[pn&leafMask]
+}
+
+// pageRange returns the first and last page numbers of [base, base+size);
+// size must be non-zero.
+func pageRange(base Addr, size uint32) (first, last Addr) {
+	return base >> pageShift, (base + Addr(size) - 1) >> pageShift
 }
 
 // Map maps [base, base+size) with the given protection. Partial pages are
@@ -140,19 +182,24 @@ func (s *Space) Map(base Addr, size uint32, p Prot) *Fault {
 	if size == 0 {
 		return nil
 	}
-	first := base >> pageShift
-	last := (base + Addr(size) - 1) >> pageShift
 	if base+Addr(size)-1 < base {
 		return abort("map", base, "mapping wraps address space")
 	}
+	first, last := pageRange(base, size)
 	for pn := first; pn <= last; pn++ {
-		if _, ok := s.pages[pn]; ok {
+		if s.pageOf(pn<<pageShift) != nil {
 			return abort("map", pn<<pageShift, "page already mapped")
 		}
 	}
 	for pn := first; pn <= last; pn++ {
-		s.pages[pn] = &page{prot: p}
+		l := s.root[pn>>leafBits]
+		if l == nil {
+			l = new(leaf)
+			s.root[pn>>leafBits] = l
+		}
+		l[pn&leafMask] = page{prot: p, mapped: true}
 	}
+	s.npages += int(last-first) + 1
 	return nil
 }
 
@@ -162,10 +209,12 @@ func (s *Space) Unmap(base Addr, size uint32) {
 	if size == 0 {
 		return
 	}
-	first := base >> pageShift
-	last := (base + Addr(size) - 1) >> pageShift
+	first, last := pageRange(base, size)
 	for pn := first; pn <= last; pn++ {
-		delete(s.pages, pn)
+		if pg := s.pageOf(pn << pageShift); pg != nil {
+			*pg = page{}
+			s.npages--
+		}
 	}
 }
 
@@ -175,11 +224,10 @@ func (s *Space) Protect(base Addr, size uint32, p Prot) *Fault {
 	if size == 0 {
 		return nil
 	}
-	first := base >> pageShift
-	last := (base + Addr(size) - 1) >> pageShift
+	first, last := pageRange(base, size)
 	for pn := first; pn <= last; pn++ {
-		pg, ok := s.pages[pn]
-		if !ok {
+		pg := s.pageOf(pn << pageShift)
+		if pg == nil {
 			return segv("mprotect", pn<<pageShift, "page not mapped")
 		}
 		pg.prot = p
@@ -196,11 +244,10 @@ func (s *Space) Mapped(a Addr, size uint32, want Prot) bool {
 	if a+Addr(size)-1 < a {
 		return false
 	}
-	first := a >> pageShift
-	last := (a + Addr(size) - 1) >> pageShift
+	first, last := pageRange(a, size)
 	for pn := first; pn <= last; pn++ {
-		pg, ok := s.pages[pn]
-		if !ok || pg.prot&want != want {
+		pg := s.pageOf(pn << pageShift)
+		if pg == nil || pg.prot&want != want {
 			return false
 		}
 	}
@@ -219,16 +266,76 @@ func (s *Space) MappedLen(a Addr, want Prot, max uint32) uint32 {
 			return n
 		}
 		// Skip to the end of this page in one step.
-		inPage := PageSize - uint32(a+Addr(n))&pageMask
-		if n+inPage > max {
-			inPage = max - n
-		}
-		n += inPage
+		n += spanLen(a+Addr(n), uint64(max-n))
 	}
 	return n
 }
 
-// ReadByte loads one byte.
+// spanLen returns how many of the n bytes starting at a lie on a's page.
+func spanLen(a Addr, n uint64) uint32 {
+	l := PageSize - uint32(a)&pageMask
+	if n < uint64(l) {
+		return uint32(n)
+	}
+	return l
+}
+
+// lookup returns the page holding a when it grants want. Otherwise the
+// byte at a faults: it is charged one access of fuel, as ReadByteAt and
+// WriteByteAt charge it, and lookup returns the fault that byte raises.
+func (s *Space) lookup(op string, a Addr, want Prot) (*page, *Fault) {
+	pg := s.pageOf(a)
+	if pg != nil && pg.prot&want != 0 {
+		return pg, nil
+	}
+	if f := s.burn(op, a); f != nil {
+		return nil, f
+	}
+	if pg == nil {
+		return nil, segv(op, a, "")
+	}
+	return nil, prot(op, a, "")
+}
+
+// charge debits the fuel for n accesses starting at a, all on one
+// permitted page. It returns how many go through; when the budget runs out
+// first, the next byte raises the hang.
+func (s *Space) charge(op string, a Addr, n uint32) (uint32, *Fault) {
+	if s.fuel < 0 {
+		return n, nil
+	}
+	if s.fuel < int64(n) {
+		k := uint32(s.fuel)
+		s.fuel = 0
+		return k, hang(op, a+Addr(k))
+	}
+	s.fuel -= int64(n)
+	return n, nil
+}
+
+// store prepares n bytes at a on page pg for writing: it records their
+// pre-images when a journal is armed, counts the stores, and returns the
+// backing bytes to write.
+func (s *Space) store(pg *page, a Addr, n uint32) []byte {
+	if n == 0 {
+		return nil
+	}
+	if pg.data == nil {
+		pg.data = new([PageSize]byte)
+	}
+	off := uint32(a) & pageMask
+	b := pg.data[off : off+n]
+	if s.journalArmed {
+		s.journal = slices.Grow(s.journal, len(b))
+		for i, old := range b {
+			s.journal = append(s.journal, journalEntry{addr: a + Addr(i), old: old})
+		}
+	}
+	s.stores += uint64(n)
+	return b
+}
+
+// ReadByteAt loads one byte.
 func (s *Space) ReadByteAt(a Addr) (byte, *Fault) {
 	if f := s.burn("read1", a); f != nil {
 		return 0, f
@@ -247,7 +354,7 @@ func (s *Space) ReadByteAt(a Addr) (byte, *Fault) {
 	return pg.data[a&pageMask], nil
 }
 
-// WriteByte stores one byte.
+// WriteByteAt stores one byte.
 func (s *Space) WriteByteAt(a Addr, v byte) *Fault {
 	if f := s.burn("write1", a); f != nil {
 		return f
@@ -264,30 +371,76 @@ func (s *Space) WriteByteAt(a Addr, v byte) *Fault {
 	}
 	s.stores++
 	if pg.data == nil {
-		pg.data = make([]byte, PageSize)
+		pg.data = new([PageSize]byte)
 	}
 	pg.data[a&pageMask] = v
 	return nil
 }
 
-// Read copies len(dst) bytes starting at a into dst.
+// Read copies len(dst) bytes starting at a into dst. On a fault, the bytes
+// before the faulting one have been copied.
 func (s *Space) Read(a Addr, dst []byte) *Fault {
-	for i := range dst {
-		b, f := s.ReadByteAt(a + Addr(i))
+	for len(dst) > 0 {
+		pg, f := s.lookup("read1", a, ProtRead)
 		if f != nil {
 			return f
 		}
-		dst[i] = b
+		n, f := s.charge("read1", a, spanLen(a, uint64(len(dst))))
+		s.loads += uint64(n)
+		if pg.data == nil {
+			clear(dst[:n])
+		} else {
+			copy(dst[:n], pg.data[a&pageMask:])
+		}
+		if f != nil {
+			return f
+		}
+		dst = dst[n:]
+		a += Addr(n)
 	}
 	return nil
 }
 
-// Write copies src into the address space starting at a.
+// Write copies src into the address space starting at a. On a fault, the
+// bytes before the faulting one have been stored.
 func (s *Space) Write(a Addr, src []byte) *Fault {
-	for i, b := range src {
-		if f := s.WriteByteAt(a+Addr(i), b); f != nil {
+	for len(src) > 0 {
+		pg, f := s.lookup("write1", a, ProtWrite)
+		if f != nil {
 			return f
 		}
+		n, f := s.charge("write1", a, spanLen(a, uint64(len(src))))
+		copy(s.store(pg, a, n), src)
+		if f != nil {
+			return f
+		}
+		src = src[n:]
+		a += Addr(n)
+	}
+	return nil
+}
+
+// Fill stores n copies of v starting at a — memset's access pattern. On a
+// fault, the bytes before the faulting one have been stored.
+func (s *Space) Fill(a Addr, n uint32, v byte) *Fault {
+	for n > 0 {
+		pg, f := s.lookup("write1", a, ProtWrite)
+		if f != nil {
+			return f
+		}
+		k, f := s.charge("write1", a, spanLen(a, uint64(n)))
+		if b := s.store(pg, a, k); len(b) > 0 {
+			// Set one byte, then double the filled prefix with copy.
+			b[0] = v
+			for m := 1; m < len(b); m *= 2 {
+				copy(b[m:], b[:m])
+			}
+		}
+		if f != nil {
+			return f
+		}
+		n -= k
+		a += Addr(k)
 	}
 	return nil
 }
@@ -302,7 +455,7 @@ func (s *Space) ReadU16(a Addr) (uint16, *Fault) {
 	if f := s.Read(a, buf[:]); f != nil {
 		return 0, f
 	}
-	return uint16(buf[0]) | uint16(buf[1])<<8, nil
+	return binary.LittleEndian.Uint16(buf[:]), nil
 }
 
 // WriteU16 stores a little-endian 16-bit value.
@@ -310,7 +463,9 @@ func (s *Space) WriteU16(a Addr, v uint16) *Fault {
 	if a&1 != 0 {
 		return &Fault{Kind: FaultBus, Addr: a, Op: "write2", Detail: "misaligned"}
 	}
-	return s.Write(a, []byte{byte(v), byte(v >> 8)})
+	var buf [2]byte
+	binary.LittleEndian.PutUint16(buf[:], v)
+	return s.Write(a, buf[:])
 }
 
 // ReadU32 loads a little-endian 32-bit value.
@@ -322,7 +477,7 @@ func (s *Space) ReadU32(a Addr) (uint32, *Fault) {
 	if f := s.Read(a, buf[:]); f != nil {
 		return 0, f
 	}
-	return uint32(buf[0]) | uint32(buf[1])<<8 | uint32(buf[2])<<16 | uint32(buf[3])<<24, nil
+	return binary.LittleEndian.Uint32(buf[:]), nil
 }
 
 // WriteU32 stores a little-endian 32-bit value.
@@ -330,7 +485,9 @@ func (s *Space) WriteU32(a Addr, v uint32) *Fault {
 	if a&3 != 0 {
 		return &Fault{Kind: FaultBus, Addr: a, Op: "write4", Detail: "misaligned"}
 	}
-	return s.Write(a, []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
+	var buf [4]byte
+	binary.LittleEndian.PutUint32(buf[:], v)
+	return s.Write(a, buf[:])
 }
 
 // ReadU64 loads a little-endian 64-bit value.
@@ -338,15 +495,11 @@ func (s *Space) ReadU64(a Addr) (uint64, *Fault) {
 	if a&7 != 0 {
 		return 0, &Fault{Kind: FaultBus, Addr: a, Op: "read8", Detail: "misaligned"}
 	}
-	lo, f := s.ReadU32(a)
-	if f != nil {
+	var buf [8]byte
+	if f := s.Read(a, buf[:]); f != nil {
 		return 0, f
 	}
-	hi, f := s.ReadU32(a + 4)
-	if f != nil {
-		return 0, f
-	}
-	return uint64(lo) | uint64(hi)<<32, nil
+	return binary.LittleEndian.Uint64(buf[:]), nil
 }
 
 // WriteU64 stores a little-endian 64-bit value.
@@ -354,10 +507,51 @@ func (s *Space) WriteU64(a Addr, v uint64) *Fault {
 	if a&7 != 0 {
 		return &Fault{Kind: FaultBus, Addr: a, Op: "write8", Detail: "misaligned"}
 	}
-	if f := s.WriteU32(a, uint32(v)); f != nil {
-		return f
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], v)
+	return s.Write(a, buf[:])
+}
+
+// scanCString walks the string at a up to and including its NUL, reading
+// at most max bytes, and appends the bytes before the NUL to out when out
+// is non-nil. It returns the string's length; found is false when the max
+// bytes held no NUL.
+func (s *Space) scanCString(a Addr, max uint32, out *strings.Builder) (n uint32, found bool, f *Fault) {
+	for n < max {
+		at := a + Addr(n)
+		pg, f := s.lookup("read1", at, ProtRead)
+		if f != nil {
+			return 0, false, f
+		}
+		l := spanLen(at, uint64(max-n))
+		var b []byte
+		nul := 0 // a page never stored to reads as zeros
+		if pg.data != nil {
+			off := uint32(at) & pageMask
+			b = pg.data[off : off+l]
+			nul = bytes.IndexByte(b, 0)
+		}
+		want := l
+		if nul >= 0 {
+			want = uint32(nul) + 1
+		}
+		k, f := s.charge("read1", at, want)
+		s.loads += uint64(k)
+		if f != nil {
+			return 0, false, f
+		}
+		if nul >= 0 {
+			if out != nil {
+				out.Write(b[:nul])
+			}
+			return n + uint32(nul), true, nil
+		}
+		if out != nil {
+			out.Write(b)
+		}
+		n += l
 	}
-	return s.WriteU32(a+4, uint32(v>>32))
+	return n, false, nil
 }
 
 // ReadCString reads a NUL-terminated string starting at a, up to max bytes
@@ -365,17 +559,14 @@ func (s *Space) WriteU64(a Addr, v uint64) *Fault {
 // the first unread byte, modelling a runaway strlen walking off a mapping.
 func (s *Space) ReadCString(a Addr, max uint32) (string, *Fault) {
 	var b strings.Builder
-	for i := uint32(0); i < max; i++ {
-		c, f := s.ReadByteAt(a + Addr(i))
-		if f != nil {
-			return "", f
-		}
-		if c == 0 {
-			return b.String(), nil
-		}
-		b.WriteByte(c)
+	_, found, f := s.scanCString(a, max, &b)
+	if f != nil {
+		return "", f
 	}
-	return "", segv("readcstr", a+Addr(max), "no NUL within limit")
+	if !found {
+		return "", segv("readcstr", a+Addr(max), "no NUL within limit")
+	}
+	return b.String(), nil
 }
 
 // WriteCString stores s followed by a NUL terminator at a.
@@ -387,17 +578,11 @@ func (sp *Space) WriteCString(a Addr, s string) *Fault {
 }
 
 // CStrLen walks memory from a until a NUL byte, returning the length. It
-// faults exactly where C strlen would.
+// faults exactly where C strlen would. Every page never stored to reads as
+// zeros, so the walk ends within the 4 GiB address space.
 func (s *Space) CStrLen(a Addr) (uint32, *Fault) {
-	for n := uint32(0); ; n++ {
-		c, f := s.ReadByteAt(a + Addr(n))
-		if f != nil {
-			return 0, f
-		}
-		if c == 0 {
-			return n, nil
-		}
-	}
+	n, _, f := s.scanCString(a, math.MaxUint32, nil)
+	return n, f
 }
 
 // AccessCounts returns the cumulative (loads, stores) performed through the
@@ -407,4 +592,4 @@ func (s *Space) AccessCounts() (loads, stores uint64) {
 }
 
 // PageCount returns the number of mapped pages.
-func (s *Space) PageCount() int { return len(s.pages) }
+func (s *Space) PageCount() int { return s.npages }

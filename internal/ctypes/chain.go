@@ -113,18 +113,17 @@ const maxScan = 1 << 20
 // only non-faulting queries, and whether a terminator was found within the
 // readable span.
 func CStringLen(env *cval.Env, a cmem.Addr) (uint32, bool) {
+	s, ok := cString(env, a)
+	return uint32(len(s)), ok
+}
+
+// cString reads the NUL-terminated string at a within the readable span
+// MappedLen reports, so only an exhausted access budget can fault; a fault
+// or a span without a NUL reads as no string.
+func cString(env *cval.Env, a cmem.Addr) (string, bool) {
 	sp := env.Img.Space
-	span := sp.MappedLen(a, cmem.ProtRead, maxScan)
-	for i := uint32(0); i < span; i++ {
-		b, f := sp.ReadByteAt(a + cmem.Addr(i))
-		if f != nil {
-			return 0, false
-		}
-		if b == 0 {
-			return i, true
-		}
-	}
-	return 0, false
+	s, f := sp.ReadCString(a, sp.MappedLen(a, cmem.ProtRead, maxScan))
+	return s, f == nil
 }
 
 // checkCString requires a readable NUL-terminated string.
@@ -138,26 +137,34 @@ func checkCString(env *cval.Env, v cval.Value, _ Need) bool {
 
 // checkFmt requires a readable format string free of the %n directive
 // (the classic format-string attack vector the security wrapper rejects).
-func checkFmt(env *cval.Env, v cval.Value, need Need) bool {
-	if !checkCString(env, v, need) {
+func checkFmt(env *cval.Env, v cval.Value, _ Need) bool {
+	if v.IsNull() {
 		return false
 	}
-	a := v.Addr()
-	sp := env.Img.Space
+	s, ok := cString(env, v.Addr())
+	if !ok {
+		return false
+	}
+	end := len(s) // where the directive scan stops: the NUL or a %n's 'n'
 	prev := byte(0)
-	for i := uint32(0); ; i++ {
-		b, f := sp.ReadByteAt(a + cmem.Addr(i))
-		if f != nil || b == 0 {
-			return true
-		}
+	for i := 0; i < len(s); i++ {
+		b := s[i]
 		if prev == '%' && b == 'n' {
-			return false
+			end = i
+			break
 		}
 		if prev == '%' && b == '%' {
 			b = 0 // %% escapes; don't let the second % start a directive
 		}
 		prev = b
 	}
+	// The directive scan reads the string a second time, up to where it
+	// stops, and is charged for it; a fault on that read (an exhausted
+	// access budget) passes the check.
+	if env.Img.Space.Read(v.Addr(), make([]byte, end+1)) != nil {
+		return true
+	}
+	return end == len(s)
 }
 
 // checkFd requires a plausibly valid descriptor: 0..2 or an open simulated

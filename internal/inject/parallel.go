@@ -160,7 +160,7 @@ func (c *Campaign) runLibraryParallel(workers int) (*LibReport, *CampaignStats, 
 		doneP    atomic.Int64 // completed probes
 		doneF    atomic.Int64 // completed functions
 		funcBusy = make([]atomic.Int64, len(plan.funcs))
-		progMu   sync.Mutex // serializes the progress callback
+		progMu   sync.Mutex // serializes function completion and the progress callback
 		taskCh   = make(chan int)
 	)
 	abort := func() { stopOnce.Do(func() { close(stop) }) }
@@ -212,7 +212,7 @@ func (c *Campaign) runLibraryParallel(workers int) (*LibReport, *CampaignStats, 
 				}
 				results[t.fn][t.sp] = r
 				funcBusy[t.fn].Add(int64(d))
-				done := doneP.Add(1)
+				doneP.Add(1)
 				if atomic.AddInt32(&remaining[t.fn], -1) == 0 {
 					// Exactly one worker observes the zero crossing,
 					// making it the single writer of built[t.fn] and
@@ -225,16 +225,19 @@ func (c *Campaign) runLibraryParallel(workers int) (*LibReport, *CampaignStats, 
 							continue
 						}
 					}
+					// Both counters are read under the lock, so
+					// successive snapshots never go backwards even when
+					// workers finish functions out of order.
+					progMu.Lock()
 					df := doneF.Add(1)
 					if c.progress != nil {
-						progMu.Lock()
 						c.progress(Progress{
 							Func: fp.name, FuncProbes: len(fp.specs),
 							DoneFuncs: int(df), TotalFuncs: len(plan.funcs),
-							DoneProbes: int(done), TotalProbes: plan.totalProbes,
+							DoneProbes: int(doneP.Load()), TotalProbes: plan.totalProbes,
 						})
-						progMu.Unlock()
 					}
+					progMu.Unlock()
 				}
 			}
 		}(w)

@@ -48,18 +48,14 @@ func prepareProbeRegions(env *cval.Env) error {
 		return fmt.Errorf("inject: mapping cliff region: %w", f)
 	}
 	// Fill with 'A's: readable, writable, and decidedly unterminated.
-	for i := cmem.Addr(0); i < cmem.PageSize; i++ {
-		if f := sp.WriteByteAt(cliffBase+i, 'A'); f != nil {
-			return fmt.Errorf("inject: filling cliff region: %w", f)
-		}
+	if f := sp.Fill(cliffBase, cmem.PageSize, 'A'); f != nil {
+		return fmt.Errorf("inject: filling cliff region: %w", f)
 	}
 	if f := sp.Map(digitCliff, cmem.PageSize, cmem.ProtRW); f != nil {
 		return fmt.Errorf("inject: mapping digit cliff: %w", f)
 	}
-	for i := cmem.Addr(0); i < cmem.PageSize; i++ {
-		if f := sp.WriteByteAt(digitCliff+i, '1'); f != nil {
-			return fmt.Errorf("inject: filling digit cliff: %w", f)
-		}
+	if f := sp.Fill(digitCliff, cmem.PageSize, '1'); f != nil {
+		return fmt.Errorf("inject: filling digit cliff: %w", f)
 	}
 	if f := sp.Map(roCliff, cmem.PageSize, cmem.ProtRead); f != nil {
 		return fmt.Errorf("inject: mapping ro cliff: %w", f)
