@@ -6,8 +6,9 @@
 check:
 	sh scripts/check.sh
 
-# Robustness-regression gate: cache-accelerated campaign diffed against
-# the checked-in robust-API baseline (testdata/robust_api_baseline.xml).
+# Robustness-regression gate: an uncached one-worker campaign and a
+# cache-accelerated one on every CPU, each diffed against the checked-in
+# robust-API baseline (testdata/robust_api_baseline.xml).
 # Exits non-zero when a function's robustness regressed.
 verify-api:
 	sh scripts/verify-api.sh

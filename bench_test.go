@@ -158,9 +158,9 @@ func BenchmarkF2_Campaign(b *testing.B) {
 
 // BenchmarkF2_CampaignParallel measures the whole-library sweep at
 // several worker counts — the campaign scaling curve of EXPERIMENTS.md.
-// The parallel engine fans (function × parameter × probe) units across a
-// worker pool; on a multi-core runner the -j variants show near-linear
-// speedup, while reports stay byte-identical to the sequential engine.
+// The sweep fans (function × parameter × probe) units across a worker
+// pool; on a multi-core runner the -j variants show near-linear speedup,
+// while reports stay byte-identical to the one-worker sweep's.
 func BenchmarkF2_CampaignParallel(b *testing.B) {
 	workers := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
 	for _, j := range workers {

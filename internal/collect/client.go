@@ -182,7 +182,7 @@ func (c *Client) exchangeOnce(data []byte, wantResp bool) ([]byte, error) {
 			return nil, fmt.Errorf("collect: setting write deadline: %w", err)
 		}
 	}
-	if err := writeFrame(c.conn, data); err != nil {
+	if err := WriteFrame(c.conn, data); err != nil {
 		c.reset()
 		return nil, err
 	}

@@ -64,9 +64,6 @@ func WriteFrame(w io.Writer, data []byte) error {
 	return err
 }
 
-// writeFrame is the package-internal alias WriteFrame grew out of.
-func writeFrame(w io.Writer, data []byte) error { return WriteFrame(w, data) }
-
 // ReadFrame reads one length-prefixed document, enforcing the MaxDocSize
 // bound. It is the client-side read of a request/response exchange; the
 // caller is responsible for any read deadline on r's connection.

@@ -491,7 +491,7 @@ func (s *Server) dispatch(conn net.Conn, from string, data []byte) bool {
 	if s.cfg.readTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.readTimeout))
 	}
-	if err := writeFrame(conn, resp); err != nil {
+	if err := WriteFrame(conn, resp); err != nil {
 		return false
 	}
 	conn.SetWriteDeadline(time.Time{})

@@ -45,7 +45,7 @@ func TestCloseWithIdleClientReturnsPromptly(t *testing.T) {
 	defer conn.Close()
 	// Make sure the connection reached a handler before closing: a doc
 	// round-trips through it.
-	if err := writeFrame(conn, mustMarshal(t, sampleProfile("idle", 1))); err != nil {
+	if err := WriteFrame(conn, mustMarshal(t, sampleProfile("idle", 1))); err != nil {
 		t.Fatal(err)
 	}
 	waitReceived(t, s, 1)

@@ -199,8 +199,8 @@ type Campaign struct {
 	preloads []string
 	stdin    string
 	hostname string
-	// workers is the library-sweep parallelism: 1 = strictly sequential
-	// (the default), 0 = GOMAXPROCS, n > 1 = a fixed worker pool.
+	// workers is the library-sweep pool size: 1 (the default) probes on
+	// the calling goroutine alone, <= 0 means GOMAXPROCS.
 	workers int
 	// progress, when set, receives a snapshot after every completed
 	// function sweep.
@@ -233,18 +233,20 @@ func WithStdin(data string) CampaignOption {
 	return func(c *Campaign) { c.stdin = data }
 }
 
-// WithWorkers sets the library-sweep parallelism: every probe still runs
+// WithWorkers sets the library sweep's pool size: every probe still runs
 // in its own fresh process, but up to n probe processes execute
-// concurrently. n == 1 (the default) keeps the sweep strictly sequential;
-// n <= 0 uses GOMAXPROCS. Reports are merged deterministically, so any
-// worker count produces an identical LibReport.
+// concurrently. n == 1 (the default) runs one probe at a time on the
+// calling goroutine; n <= 0 uses GOMAXPROCS. Reports are merged
+// deterministically, so any worker count produces an identical LibReport.
 func WithWorkers(n int) CampaignOption {
 	return func(c *Campaign) { c.workers = n }
 }
 
 // WithProgress installs a progress callback invoked after each function
-// sweep completes (from a single goroutine; the callback need not be
-// thread-safe). Completion order is nondeterministic under parallel runs.
+// sweep completes. Calls never overlap, so the callback need not be
+// thread-safe. A library sweep reports its cache hits first, in canonical
+// order; probed functions follow in completion order, which is
+// nondeterministic with more than one worker.
 func WithProgress(fn func(Progress)) CampaignOption {
 	return func(c *Campaign) { c.progress = fn }
 }
@@ -311,8 +313,8 @@ func New(sys *simelf.System, soname string, opts ...CampaignOption) (*Campaign, 
 // "plain call" probe: no arguments, but the same fuel budget, stdin
 // seeding, and outcome classification as every parameterized probe.
 // shard pins the probe process's statistics-shard token, so a worker
-// pool's probes write disjoint wrapper-state counter shards (sequential
-// callers pass 0).
+// pool's probes write disjoint wrapper-state counter shards (callers
+// outside the pool pass 0).
 func (c *Campaign) runProbe(proto *ctypes.Prototype, injected int, probe Probe, shard uint32) (ProbeResult, error) {
 	opts := []proc.Option{proc.WithPreloads(c.preloads...)}
 	if c.stdin != "" {
@@ -456,9 +458,9 @@ func planFunction(proto *ctypes.Prototype) []probeSpec {
 }
 
 // buildReport derives a function report from the ordered probe results of
-// one planFunction sweep. It is shared by the sequential and parallel
-// engines; because it only depends on the canonical result order, both
-// produce identical reports.
+// one planFunction sweep. It depends only on the canonical result order,
+// so every worker count and every distributed worker derives the same
+// report.
 func buildReport(name string, proto *ctypes.Prototype, results []ProbeResult) *FuncReport {
 	report := &FuncReport{Name: name, Proto: proto, Results: results, Probes: len(results)}
 	for _, r := range results {
@@ -502,43 +504,51 @@ func buildReport(name string, proto *ctypes.Prototype, results []ProbeResult) *F
 }
 
 // RunFunction sweeps every probe of every parameter of the named function
-// (single-fault mode) and derives the robust type per parameter.
+// (single-fault mode) and derives the robust type per parameter. It
+// shares the library sweep's cache discipline: an attached cache answers
+// an unchanged function instantly and receives a freshly derived report,
+// which is what makes a targeted re-probe (drop one entry, re-run one
+// function) cost one function's probes.
 func (c *Campaign) RunFunction(name string) (*FuncReport, error) {
 	lib, _ := c.sys.Library(c.target)
 	proto := lib.Proto(name)
 	if proto == nil {
 		return nil, fmt.Errorf("inject: %s has no prototype for %q", c.target, name)
 	}
-	// Single-function runs share the library sweep's cache discipline:
-	// an attached cache answers unchanged functions instantly and
-	// receives freshly derived reports — what makes a targeted re-probe
-	// (drop one entry, re-run one function) cost one function's probes.
-	var key, config string
-	if c.cache != nil {
-		config = c.configHash()
-		key = funcKey(proto, config)
-		c.warmFromRegistry([]funcPlan{{name: name, proto: proto}})
-		if fr := c.cache.lookup(key, config); fr != nil {
-			fr.Proto = proto
-			return fr, nil
-		}
+	fp := funcPlan{name: name, proto: proto, specs: planFunction(proto)}
+	c.warmFromRegistry([]funcPlan{fp})
+	fr, _, _, _, err := c.sweepFunction(&fp, c.configHash(), nil)
+	return fr, err
+}
+
+// sweepFunction resolves one function on its own, outside a library
+// sweep: from the cache when it holds the function, otherwise by running
+// every planned probe in canonical order (calling beforeProbe, when set,
+// ahead of each) and recording the fresh report in the cache. It returns
+// the function's cache key, whether the report came from the cache, and
+// the time spent probing.
+func (c *Campaign) sweepFunction(fp *funcPlan, config string, beforeProbe func()) (fr *FuncReport, key string, cached bool, wall time.Duration, err error) {
+	if fr, key = c.cacheLookup(fp, config); fr != nil {
+		return fr, key, true, 0, nil
 	}
-	specs := planFunction(proto)
-	results := make([]ProbeResult, 0, len(specs))
-	for _, sp := range specs {
-		r, err := c.runProbe(proto, sp.param, sp.probe, 0)
+	results := make([]ProbeResult, 0, len(fp.specs))
+	start := time.Now()
+	for _, sp := range fp.specs {
+		if beforeProbe != nil {
+			beforeProbe()
+		}
+		r, err := c.runProbe(fp.proto, sp.param, sp.probe, 0)
 		if err != nil {
-			return nil, err
+			return nil, key, false, 0, err
 		}
 		results = append(results, r)
 	}
-	fr := buildReport(name, proto, results)
-	if c.cache != nil {
-		if err := c.cachePut(name, config, key, fr); err != nil {
-			return nil, err
-		}
+	fr = buildReport(fp.name, fp.proto, results)
+	wall = time.Since(start)
+	if err := c.cachePut(fp.name, config, key, fr); err != nil {
+		return nil, key, false, 0, err
 	}
-	return fr, nil
+	return fr, key, false, wall, nil
 }
 
 // scannableFuncs returns the target's probe-able function names in
@@ -557,99 +567,17 @@ func (c *Campaign) scannableFuncs() []string {
 	return out
 }
 
-// RunLibrary sweeps every exported function of the target library. With a
-// WithWorkers option other than 1 the sweep runs on the parallel engine;
-// the report is identical either way.
-func (c *Campaign) RunLibrary() (*LibReport, error) {
-	lr, _, err := c.RunLibraryStats()
-	return lr, err
-}
-
-// RunLibraryStats is RunLibrary with the run's throughput statistics.
-func (c *Campaign) RunLibraryStats() (*LibReport, *CampaignStats, error) {
-	if c.workers != 1 {
-		return c.runLibraryParallel(c.workers)
-	}
-	return c.runLibrarySequential()
-}
-
-// RunLibraryParallel sweeps the library on a pool of the given number of
-// workers (<= 0 means GOMAXPROCS), regardless of the campaign's
-// WithWorkers configuration. The merged report is byte-identical to the
-// sequential RunLibrary's.
-func (c *Campaign) RunLibraryParallel(workers int) (*LibReport, error) {
-	lr, _, err := c.runLibraryParallel(workers)
-	return lr, err
-}
-
-// cacheLookup consults the campaign cache for one planned function,
-// returning the stored report (live prototype attached) and the entry's
-// key. A nil cache returns key == "" and no report.
+// cacheLookup computes one planned function's cache key and consults the
+// campaign cache for it, returning the stored report (live prototype
+// attached) or nil.
 func (c *Campaign) cacheLookup(fp *funcPlan, config string) (fr *FuncReport, key string) {
-	if c.cache == nil {
-		return nil, ""
-	}
 	key = funcKey(fp.proto, config)
-	if fr = c.cache.lookup(key, config); fr != nil {
-		fr.Proto = fp.proto
+	if c.cache != nil {
+		if fr = c.cache.lookup(key, config); fr != nil {
+			fr.Proto = fp.proto
+		}
 	}
 	return fr, key
-}
-
-// runLibrarySequential is the strictly sequential engine: one probe
-// process at a time, in canonical order.
-func (c *Campaign) runLibrarySequential() (*LibReport, *CampaignStats, error) {
-	plan := c.planLibrary()
-	c.warmFromRegistry(plan.funcs)
-	lr := &LibReport{Library: c.target}
-	stats := newCampaignStats(1, len(plan.funcs))
-	config := c.configHash()
-	executed := 0
-	start := time.Now()
-	for fi, fp := range plan.funcs {
-		fr, key := c.cacheLookup(&plan.funcs[fi], config)
-		cached := fr != nil
-		var wall time.Duration
-		if !cached {
-			results := make([]ProbeResult, 0, len(fp.specs))
-			fnStart := time.Now()
-			for _, sp := range fp.specs {
-				r, err := c.runProbe(fp.proto, sp.param, sp.probe, 0)
-				if err != nil {
-					return nil, nil, err
-				}
-				results = append(results, r)
-			}
-			fr = buildReport(fp.name, fp.proto, results)
-			wall = time.Since(fnStart)
-			stats.WorkerBusy[0] += wall
-			executed += fr.Probes
-			if c.cache != nil {
-				if err := c.cachePut(fp.name, config, key, fr); err != nil {
-					return nil, nil, err
-				}
-			}
-		} else {
-			stats.CachedFuncs++
-			stats.CachedProbes += fr.Probes
-		}
-		lr.Funcs = append(lr.Funcs, fr)
-		lr.TotalProbes += fr.Probes
-		lr.TotalFailures += fr.Failures
-		stats.noteFunc(fp.name, fr.Probes, wall, cached)
-		if c.progress != nil {
-			c.progress(Progress{
-				Func: fp.name, FuncProbes: fr.Probes,
-				DoneFuncs: fi + 1, TotalFuncs: len(plan.funcs),
-				DoneProbes: lr.TotalProbes, TotalProbes: plan.totalProbes,
-			})
-		}
-	}
-	stats.finish(executed, time.Since(start))
-	if c.statsSink != nil {
-		c.statsSink(stats)
-	}
-	return lr, stats, nil
 }
 
 // funcPlan is one function's planned sweep.
@@ -659,8 +587,8 @@ type funcPlan struct {
 	specs []probeSpec
 }
 
-// libPlan is a whole library sweep, planned up front so both engines work
-// from the same canonical probe order.
+// libPlan is a whole library sweep, planned up front so local and
+// distributed sweeps work from the same canonical probe order.
 type libPlan struct {
 	funcs       []funcPlan
 	totalProbes int

@@ -2,9 +2,10 @@
 // shards the function list into work units, and leases them to worker
 // processes over the collect wire protocol; workers run their shard
 // through the ordinary campaign engine and stream per-function results
-// back. The coordinator merges results in canonical function order, so
-// the final report — and the robust-API XML rendered from it — is
-// byte-identical to a sequential run for any worker count.
+// back. The coordinator merges results in canonical function order, with
+// the same merge a local sweep uses, so the final report — and the
+// robust-API XML rendered from it — is byte-identical to a local sweep
+// for any worker count.
 //
 // Fault tolerance is lease-based: a shard leased to a worker that stops
 // sending results or heartbeats past the lease timeout is re-leased to
@@ -110,16 +111,13 @@ type Coordinator struct {
 	mu        sync.Mutex
 	shards    []shardState
 	byName    map[string]int  // function name -> plan index
-	keys      []string        // expected funcKey per plan index
 	reports   []*FuncReport   // resolved reports, plan-indexed
 	wall      []time.Duration // worker-reported per-function wall time
-	coCached  []bool          // resolved from the coordinator's cache
-	wkCached  []bool          // resolved from a worker's local cache
+	cached    []bool          // resolved from the coordinator's or a worker's cache
 	remaining int             // unresolved functions
 	workers   map[string]*WorkerStat
 	dismissed map[string]bool // workers already told the sweep is done
 	counts    ShardCounts
-	doneFuncs int
 	start     time.Time
 
 	done      chan struct{}
@@ -141,11 +139,8 @@ func NewCoordinator(c *Campaign, nshards int, opts ...CoordOption) *Coordinator 
 		leaseTimeout: DefaultLeaseTimeout,
 		straggler:    DefaultStragglerAfter,
 		byName:       make(map[string]int, len(plan.funcs)),
-		keys:         make([]string, len(plan.funcs)),
-		reports:      make([]*FuncReport, len(plan.funcs)),
 		wall:         make([]time.Duration, len(plan.funcs)),
-		coCached:     make([]bool, len(plan.funcs)),
-		wkCached:     make([]bool, len(plan.funcs)),
+		cached:       make([]bool, len(plan.funcs)),
 		workers:      make(map[string]*WorkerStat),
 		dismissed:    make(map[string]bool),
 		done:         make(chan struct{}),
@@ -157,18 +152,15 @@ func NewCoordinator(c *Campaign, nshards int, opts ...CoordOption) *Coordinator 
 	}
 
 	// Resolve coordinator-cache hits up front; only misses are sharded.
-	// The registry warm-up runs first, so a fleet-shared entry counts as
-	// a cache hit here and distributed sweeps lease only genuine global
-	// misses.
-	c.warmFromRegistry(plan.funcs)
+	// The partition warms from the registry first, so a fleet-shared
+	// entry counts as a cache hit here and distributed sweeps lease only
+	// genuine global misses.
+	_, co.reports = c.partition(plan.funcs, co.config)
 	var misses []int
-	for fi := range plan.funcs {
-		fp := &plan.funcs[fi]
+	for fi, fp := range plan.funcs {
 		co.byName[fp.name] = fi
-		co.keys[fi] = funcKey(fp.proto, co.config)
-		if fr, _ := c.cacheLookup(fp, co.config); fr != nil {
-			co.reports[fi] = fr
-			co.coCached[fi] = true
+		if co.reports[fi] != nil {
+			co.cached[fi] = true
 			continue
 		}
 		misses = append(misses, fi)
@@ -376,7 +368,8 @@ func (co *Coordinator) shardDoneLocked(s *shardState) bool {
 // accepted entries into the campaign cache, and account the worker's
 // throughput. Duplicates — replays after a retry, or the losing side of
 // a speculative re-issue — are acknowledged and dropped, which is what
-// makes result delivery idempotent.
+// makes result delivery idempotent. An entry the cache fails to record
+// refuses the document before the entry is credited.
 func (co *Coordinator) handleResult(_ string, data []byte) []byte {
 	res, err := xmlrep.Unmarshal[xmlrep.WorkResult](data)
 	if err != nil {
@@ -396,47 +389,40 @@ func (co *Coordinator) handleResult(_ string, data []byte) []byte {
 	for i := range res.Funcs {
 		fx := &res.Funcs[i]
 		fi, ok := co.byName[fx.Name]
-		if !ok || fx.Key != co.keys[fi] {
-			// Not a function of this sweep, or derived under a
-			// different (prototype, hierarchy, config) — refuse rather
-			// than merge incomparable results.
-			continue
+		if !ok || co.reports[fi] != nil {
+			continue // not a function of this sweep, or a duplicate: first result won
 		}
-		if co.reports[fi] != nil {
-			continue // duplicate: first result won
+		fp := &co.plan.funcs[fi]
+		if fx.Key != funcKey(fp.proto, co.config) {
+			// Derived under a different (prototype, hierarchy, config):
+			// refuse rather than merge incomparable results.
+			continue
 		}
 		fr, err := reportFromXML(&fx.CacheFuncXML)
 		if err != nil {
 			continue // undecodable entry; the shard stays unresolved
 		}
-		fr.Proto = co.plan.funcs[fi].proto
+		fr.Proto = fp.proto
+		// Fold the worker's entry into the coordinator's campaign cache
+		// — put (not a blind insert) so checkpoint auto-flush and
+		// stale-key replacement apply; the fleet's persistent cache then
+		// warms monotonically through the normal MergeFrom save path —
+		// and queue it for the shared registry, which is how a
+		// distributed sweep's fresh derivations reach the rest of the
+		// fleet.
+		if err := co.camp.cachePut(fx.Name, co.config, fx.Key, fr); err != nil {
+			return errAck(fmt.Sprintf("recording result: %v", err))
+		}
 		co.reports[fi] = fr
 		co.wall[fi] = time.Duration(fx.WallNS)
-		co.wkCached[fi] = res.CachedLocal
+		co.cached[fi] = res.CachedLocal
 		co.remaining--
-		co.doneFuncs++
 		accepted++
 		ws.Funcs++
 		ws.Probes += fr.Probes
 		ws.Busy += time.Duration(fx.WallNS)
 		if res.CachedLocal {
 			ws.Cached++
-		}
-		if co.camp.cache != nil || co.camp.registry != nil {
-			// Fold the worker's entry into the coordinator's campaign
-			// cache — put (not a blind insert) so checkpoint auto-flush
-			// and stale-key replacement apply; the fleet's persistent
-			// cache then warms monotonically through the normal
-			// MergeFrom save path — and queue it for the shared registry,
-			// which is how a distributed sweep's fresh derivations reach
-			// the rest of the fleet.
-			stored := *fr
-			if err := co.camp.cachePut(fx.Name, co.config, fx.Key, &stored); err != nil {
-				co.remaining++
-				co.doneFuncs--
-				co.reports[fi] = nil
-				return errAck(fmt.Sprintf("recording result: %v", err))
-			}
 		}
 		if co.camp.progress != nil {
 			co.camp.progress(Progress{
@@ -537,11 +523,11 @@ func (co *Coordinator) Remaining() int {
 }
 
 // Wait blocks until every function has a result, then merges the
-// reports in canonical function order — the same merge the sequential
-// engine performs, so the LibReport (and any document rendered from it)
-// is byte-identical to a sequential sweep regardless of worker count,
-// crashes, or re-leases. It returns an error if the coordinator was
-// closed before the sweep completed.
+// reports in canonical function order — the merge RunLibrary performs, so
+// the LibReport (and any document rendered from it) is byte-identical to
+// a local sweep regardless of worker count, crashes, or re-leases. It
+// returns an error if the coordinator was closed before the sweep
+// completed.
 func (co *Coordinator) Wait() (*LibReport, *CampaignStats, error) {
 	select {
 	case <-co.done:
@@ -555,37 +541,16 @@ func (co *Coordinator) Wait() (*LibReport, *CampaignStats, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 
-	lr := &LibReport{Library: co.camp.target}
-	stats := newCampaignStats(len(co.workers), len(co.plan.funcs))
-	executed := 0
-	for fi, fp := range co.plan.funcs {
-		fr := co.reports[fi]
-		cached := co.coCached[fi] || co.wkCached[fi]
-		if cached {
-			stats.CachedFuncs++
-			stats.CachedProbes += fr.Probes
-		} else {
-			executed += fr.Probes
-		}
-		lr.Funcs = append(lr.Funcs, fr)
-		lr.TotalProbes += fr.Probes
-		lr.TotalFailures += fr.Failures
-		stats.noteFunc(fp.name, fr.Probes, co.wall[fi], cached)
-	}
 	names := make([]string, 0, len(co.workers))
 	for name := range co.workers {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	stats.WorkerBusy = make([]time.Duration, len(names))
+	stats := newCampaignStats(len(names), len(co.plan.funcs))
 	for i, name := range names {
 		stats.WorkerBusy[i] = co.workers[name].Busy
 	}
-	stats.finish(executed, time.Since(co.start))
-	if co.camp.statsSink != nil {
-		co.camp.statsSink(stats)
-	}
-	return lr, stats, nil
+	return co.camp.mergeReports(co.plan, co.reports, co.cached, co.wall, stats, co.start), stats, nil
 }
 
 // Drain keeps the coordinator serving after the sweep completes, until

@@ -1,6 +1,8 @@
 package inject
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -285,6 +287,66 @@ func TestCoordinatorRefusesForeignResults(t *testing.T) {
 
 	if co.doneFuncsLocked() != 0 {
 		t.Error("a refused result was merged")
+	}
+}
+
+// TestRefusedResultEarnsNoCredit: when the coordinator's cache cannot
+// record a result (its checkpoint flush fails), the result is refused and
+// neither the worker's counters nor the unresolved count move — however
+// often the worker resends it.
+func TestRefusedResultEarnsNoCredit(t *testing.T) {
+	path := cachePath(t)
+	cache := openTestCache(t, path)
+	cache.SetAutoFlush(1)
+	c, err := New(libmSystem(t), cmath.Soname, WithCache(cache))
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := NewCoordinator(c, 1)
+	// A non-empty directory where the cache file goes: every flush's
+	// rename onto it fails.
+	if err := os.MkdirAll(filepath.Join(path, "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	lease, err := xmlrep.Unmarshal[xmlrep.WorkLease](co.handleRequest("",
+		xmlrep.MustMarshal(&xmlrep.WorkRequest{Worker: "w", Hierarchy: HierarchyVersion()})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := libmSystem(t)
+	camp, err := New(sys, cmath.Soname)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &worker{id: "w", sys: sys, heartbeat: time.Hour, lastContact: time.Now()}
+	entry, _, err := w.sweepFunc(camp, lease, lease.Funcs[0], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &xmlrep.WorkResult{
+		Worker: "w", Shard: lease.Shard, Attempt: lease.Attempt,
+		Config: lease.Config, Funcs: []xmlrep.WorkFuncXML{entry},
+	}
+	xmlrep.Seal(res)
+
+	before := co.Remaining()
+	for i := 1; i <= 2; i++ {
+		ack, err := xmlrep.Unmarshal[xmlrep.WorkAck](co.handleResult("", xmlrep.MustMarshal(res)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ack.OK || !strings.Contains(ack.Reason, "recording result") {
+			t.Fatalf("send %d: ack = %+v, want a refusal naming the failed record", i, ack)
+		}
+	}
+	if got := co.Remaining(); got != before {
+		t.Errorf("Remaining() = %d after refused results, want %d", got, before)
+	}
+	for _, ws := range co.WorkerStats() {
+		if ws.Funcs != 0 || ws.Probes != 0 || ws.Cached != 0 || ws.Busy != 0 {
+			t.Errorf("worker %s credited for refused results: %+v", ws.Name, ws)
+		}
 	}
 }
 

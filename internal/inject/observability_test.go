@@ -30,11 +30,11 @@ func TestParallelProfilingHistogramConsistency(t *testing.T) {
 	if err := sys.AddLibrary(wrapper); err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(sys, cmath.Soname, WithPreloads(wrappers.ProfilingSoname))
+	c, err := New(sys, cmath.Soname, WithPreloads(wrappers.ProfilingSoname), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RunLibraryParallel(4); err != nil {
+	if _, err := c.RunLibrary(); err != nil {
 		t.Fatalf("parallel sweep under profiling wrapper: %v", err)
 	}
 	// The campaign has quiesced; fold the capture shards, then direct
@@ -53,7 +53,7 @@ func TestParallelProfilingHistogramConsistency(t *testing.T) {
 	// increments lost to it, would both break the equality (the sweep
 	// itself is deterministic for any worker count).
 	st.Reset()
-	if _, err := c.RunLibraryParallel(4); err != nil {
+	if _, err := c.RunLibrary(); err != nil {
 		t.Fatalf("post-Reset parallel sweep: %v", err)
 	}
 	st.Sync()

@@ -103,7 +103,7 @@ func (c *Campaign) RunFunctionPairwise(name string) (*PairReport, error) {
 }
 
 // emitPairStats reports one pairwise sweep through the campaign's stats
-// sink, mirroring the library engines' bookkeeping.
+// sink, mirroring the library sweep's bookkeeping.
 func (c *Campaign) emitPairStats(pr *PairReport, wall time.Duration, cached bool) {
 	if c.statsSink == nil {
 		return

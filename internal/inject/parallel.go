@@ -1,10 +1,10 @@
-// Parallel campaign engine. A fault-injection campaign is embarrassingly
+// Library-sweep engine. A fault-injection campaign is embarrassingly
 // parallel — every probe runs in its own fresh simulated process against
-// the shared read-only system registry — so the library sweep fans
-// (function × parameter × probe) work units across a worker pool. Results
-// carry stable indices and reports are assembled in canonical order, so a
-// parallel sweep produces a LibReport identical to the sequential one for
-// any worker count.
+// the shared read-only system registry — so the library sweep hands
+// (function × parameter × probe) work units to a pool of workers. Results
+// carry stable indices and reports are assembled in canonical order, so
+// the sweep produces the same LibReport for any worker count, one
+// included.
 package inject
 
 import (
@@ -33,9 +33,8 @@ type Progress struct {
 type FuncTiming struct {
 	Name   string
 	Probes int
-	// Wall is the time spent probing the function: contiguous wall time
-	// in a sequential run, summed per-probe time in a parallel run
-	// (where one function's probes interleave across workers).
+	// Wall is the time spent probing the function, summed over its
+	// probes (which may run on several workers at once).
 	Wall time.Duration
 	// Cached marks a function whose report was reused from the campaign
 	// cache instead of being probed (Wall is then zero).
@@ -45,9 +44,9 @@ type FuncTiming struct {
 // CampaignStats describes one library sweep's throughput — the numbers
 // the CLI and the scaling benchmarks report. It is deliberately kept out
 // of LibReport so that reports stay deterministic and comparable across
-// engines.
+// worker counts and across local and distributed sweeps.
 type CampaignStats struct {
-	// Workers is the pool size the sweep ran with (1 = sequential).
+	// Workers is the pool size the sweep ran with.
 	Workers int
 	// Probes is the number of probe processes executed. Cache hits do
 	// not execute probes, so with a warm cache this is smaller than the
@@ -102,51 +101,36 @@ type probeTask struct {
 	fn, sp int
 }
 
-// runLibraryParallel fans the library sweep across a worker pool.
-// workers <= 0 means GOMAXPROCS.
-func (c *Campaign) runLibraryParallel(workers int) (*LibReport, *CampaignStats, error) {
+// RunLibrary sweeps every exported function of the target library on a
+// pool of WithWorkers workers. Functions the campaign cache holds are
+// served from it; every other function's probes become tasks, which the
+// workers claim in canonical order from a shared counter. Worker 0 is the
+// calling goroutine, so a one-worker sweep starts no goroutine. The
+// report is identical for any worker count.
+func (c *Campaign) RunLibrary() (*LibReport, error) {
+	workers := c.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	plan := c.planLibrary()
-	c.warmFromRegistry(plan.funcs)
-	stats := newCampaignStats(workers, len(plan.funcs))
 	config := c.configHash()
+	keys, reports := c.partition(plan.funcs, config)
+	stats := newCampaignStats(workers, len(plan.funcs))
 	start := time.Now()
 
-	// Cache partition: functions with a current cache entry skip the
-	// worker pool entirely; only the rest become probe tasks. The merge
-	// below walks canonical order regardless, so a warm run's report is
-	// byte-identical to a cold one.
-	cachedReports := make([]*FuncReport, len(plan.funcs))
-	keys := make([]string, len(plan.funcs))
-	cachedFuncs, cachedProbes := 0, 0
-	for fi := range plan.funcs {
-		fr, key := c.cacheLookup(&plan.funcs[fi], config)
-		keys[fi] = key
-		if fr != nil {
-			cachedReports[fi] = fr
-			cachedFuncs++
-			cachedProbes += fr.Probes
-		}
-	}
-	stats.CachedFuncs = cachedFuncs
-	stats.CachedProbes = cachedProbes
-
 	// Results and errors land in slots addressed by stable indices, so
-	// execution order cannot influence the merged report. Errors keep
-	// their flat task index so the winner is the canonically first one,
-	// like the sequential engine's fail-fast.
+	// execution order cannot influence the merged report.
+	cached := make([]bool, len(plan.funcs))
 	tasks := make([]probeTask, 0, plan.totalProbes)
 	results := make([][]ProbeResult, len(plan.funcs))
-	built := make([]*FuncReport, len(plan.funcs))
-	remaining := make([]int32, len(plan.funcs))
+	remaining := make([]atomic.Int32, len(plan.funcs))
 	for fi, fp := range plan.funcs {
-		if cachedReports[fi] != nil {
+		if reports[fi] != nil {
+			cached[fi] = true
 			continue
 		}
 		results[fi] = make([]ProbeResult, len(fp.specs))
-		remaining[fi] = int32(len(fp.specs))
+		remaining[fi].Store(int32(len(fp.specs)))
 		for si := range fp.specs {
 			tasks = append(tasks, probeTask{fn: fi, sp: si})
 		}
@@ -154,122 +138,139 @@ func (c *Campaign) runLibraryParallel(workers int) (*LibReport, *CampaignStats, 
 	errs := make([]error, len(tasks))
 
 	var (
-		stop     = make(chan struct{})
-		stopOnce sync.Once
-		wg       sync.WaitGroup
-		doneP    atomic.Int64 // completed probes
-		doneF    atomic.Int64 // completed functions
+		next     atomic.Int64 // next unclaimed task
+		failed   atomic.Bool  // set by the first error; no task is claimed after it
+		doneP    atomic.Int64 // completed probes, cache hits included
 		funcBusy = make([]atomic.Int64, len(plan.funcs))
-		progMu   sync.Mutex // serializes function completion and the progress callback
-		taskCh   = make(chan int)
+		// progMu serializes function completion: the progress callback
+		// runs under it and reads both counters under it, so successive
+		// snapshots never go backwards.
+		progMu sync.Mutex
+		doneF  int
 	)
-	abort := func() { stopOnce.Do(func() { close(stop) }) }
-
-	// Cache hits complete "instantly": report them first, in canonical
-	// order, and seed the counters the workers' progress builds on.
-	for fi, fp := range plan.funcs {
-		if cachedReports[fi] == nil {
-			continue
-		}
-		done := doneP.Add(int64(cachedReports[fi].Probes))
-		df := doneF.Add(1)
+	notify := func(fp *funcPlan, probes int) {
+		doneF++
 		if c.progress != nil {
 			c.progress(Progress{
-				Func: fp.name, FuncProbes: cachedReports[fi].Probes,
-				DoneFuncs: int(df), TotalFuncs: len(plan.funcs),
-				DoneProbes: int(done), TotalProbes: plan.totalProbes,
+				Func: fp.name, FuncProbes: probes,
+				DoneFuncs: doneF, TotalFuncs: len(plan.funcs),
+				DoneProbes: int(doneP.Load()), TotalProbes: plan.totalProbes,
 			})
 		}
 	}
 
-	// Feeder: hands out flat task indices until done or aborted.
-	go func() {
-		defer close(taskCh)
-		for i := range tasks {
-			select {
-			case taskCh <- i:
-			case <-stop:
+	// Cache hits complete "instantly": report them first, in canonical
+	// order, before any worker starts.
+	for fi := range plan.funcs {
+		if cached[fi] {
+			doneP.Add(int64(reports[fi].Probes))
+			notify(&plan.funcs[fi], reports[fi].Probes)
+		}
+	}
+
+	// Tasks are claimed in increasing index order and a claimed task
+	// always runs to completion, so every task before a failed one has
+	// run: the first error in errs is the canonically first failure.
+	work := func(worker int) {
+		for !failed.Load() {
+			idx := int(next.Add(1) - 1)
+			if idx >= len(tasks) {
 				return
 			}
-		}
-	}()
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for idx := range taskCh {
-				t := tasks[idx]
-				fp := plan.funcs[t.fn]
-				t0 := time.Now()
-				r, err := c.runProbe(fp.proto, fp.specs[t.sp].param, fp.specs[t.sp].probe, uint32(worker))
-				d := time.Since(t0)
-				stats.WorkerBusy[worker] += d
-				if err != nil {
-					errs[idx] = err
-					abort()
-					continue
-				}
+			t := tasks[idx]
+			fp := &plan.funcs[t.fn]
+			sp := fp.specs[t.sp]
+			t0 := time.Now()
+			r, err := c.runProbe(fp.proto, sp.param, sp.probe, uint32(worker))
+			d := time.Since(t0)
+			stats.WorkerBusy[worker] += d
+			if err == nil {
 				results[t.fn][t.sp] = r
 				funcBusy[t.fn].Add(int64(d))
 				doneP.Add(1)
-				if atomic.AddInt32(&remaining[t.fn], -1) == 0 {
-					// Exactly one worker observes the zero crossing,
-					// making it the single writer of built[t.fn] and
-					// the sole cache-put for this function.
-					built[t.fn] = buildReport(fp.name, fp.proto, results[t.fn])
-					if c.cache != nil {
-						if err := c.cachePut(fp.name, config, keys[t.fn], built[t.fn]); err != nil {
-							errs[idx] = err
-							abort()
-							continue
-						}
+				if remaining[t.fn].Add(-1) == 0 {
+					// Exactly one worker sees the count reach zero: it
+					// builds the function's report and makes its one
+					// cache put.
+					reports[t.fn] = buildReport(fp.name, fp.proto, results[t.fn])
+					if err = c.cachePut(fp.name, config, keys[t.fn], reports[t.fn]); err == nil {
+						progMu.Lock()
+						notify(fp, len(fp.specs))
+						progMu.Unlock()
 					}
-					// Both counters are read under the lock, so
-					// successive snapshots never go backwards even when
-					// workers finish functions out of order.
-					progMu.Lock()
-					df := doneF.Add(1)
-					if c.progress != nil {
-						c.progress(Progress{
-							Func: fp.name, FuncProbes: len(fp.specs),
-							DoneFuncs: int(df), TotalFuncs: len(plan.funcs),
-							DoneProbes: int(doneP.Load()), TotalProbes: plan.totalProbes,
-						})
-					}
-					progMu.Unlock()
 				}
 			}
-		}(w)
+			if err != nil {
+				errs[idx] = err
+				failed.Store(true)
+			}
+		}
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
 	wg.Wait()
 
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
+	wall := make([]time.Duration, len(plan.funcs))
+	for fi := range funcBusy {
+		wall[fi] = time.Duration(funcBusy[fi].Load())
+	}
+	return c.mergeReports(plan, reports, cached, wall, stats, start), nil
+}
 
-	// Deterministic merge: canonical function order, canonical probe
-	// order within each function. Cached functions contribute their
-	// stored reports; probed ones the reports built at completion.
+// partition resolves a planned sweep against the campaign cache, after
+// one batch warm-up from the registry. It returns every function's cache
+// key and the reports the cache already holds; a nil report is a function
+// that must be probed. Without a cache every report is nil and the keys
+// are left empty.
+func (c *Campaign) partition(funcs []funcPlan, config string) (keys []string, hits []*FuncReport) {
+	keys = make([]string, len(funcs))
+	hits = make([]*FuncReport, len(funcs))
+	if c.cache == nil {
+		return keys, hits
+	}
+	c.warmFromRegistry(funcs)
+	for fi := range funcs {
+		hits[fi], keys[fi] = c.cacheLookup(&funcs[fi], config)
+	}
+	return keys, hits
+}
+
+// mergeReports assembles a finished sweep in canonical function order:
+// the LibReport from every function's report, and stats from each
+// function's cache flag and probing time. It completes stats (measuring
+// Elapsed from start) and hands them to the stats sink. Local and
+// distributed sweeps both merge here, so their reports are identical.
+func (c *Campaign) mergeReports(plan *libPlan, reports []*FuncReport, cached []bool, wall []time.Duration, stats *CampaignStats, start time.Time) *LibReport {
 	lr := &LibReport{Library: c.target}
 	executed := 0
 	for fi, fp := range plan.funcs {
-		fr := cachedReports[fi]
-		cached := fr != nil
-		if !cached {
-			fr = built[fi]
+		fr := reports[fi]
+		if cached[fi] {
+			stats.CachedFuncs++
+			stats.CachedProbes += fr.Probes
+		} else {
 			executed += fr.Probes
 		}
 		lr.Funcs = append(lr.Funcs, fr)
 		lr.TotalProbes += fr.Probes
 		lr.TotalFailures += fr.Failures
-		stats.noteFunc(fp.name, fr.Probes, time.Duration(funcBusy[fi].Load()), cached)
+		stats.noteFunc(fp.name, fr.Probes, wall[fi], cached[fi])
 	}
 	stats.finish(executed, time.Since(start))
 	if c.statsSink != nil {
 		c.statsSink(stats)
 	}
-	return lr, stats, nil
+	return lr
 }

@@ -25,27 +25,22 @@ func libmSystem(t *testing.T) *simelf.System {
 	return sys
 }
 
-// runBoth sweeps one library sequentially and with the given worker
+// runBoth sweeps one library with one worker and with the given worker
 // count against fresh systems, returning both reports.
-func runBoth(t *testing.T, mkSys func(*testing.T) *simelf.System, soname string, workers int) (seq, par *LibReport) {
+func runBoth(t *testing.T, mkSys func(*testing.T) *simelf.System, soname string, workers int) (one, many *LibReport) {
 	t.Helper()
-	cs, err := New(mkSys(t), soname)
-	if err != nil {
-		t.Fatal(err)
+	sweep := func(n int) *LibReport {
+		c, err := New(mkSys(t), soname, WithWorkers(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lr, err := c.RunLibrary()
+		if err != nil {
+			t.Fatalf("%d-worker sweep: %v", n, err)
+		}
+		return lr
 	}
-	seq, err = cs.RunLibrary()
-	if err != nil {
-		t.Fatalf("sequential sweep: %v", err)
-	}
-	cp, err := New(mkSys(t), soname)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err = cp.RunLibraryParallel(workers)
-	if err != nil {
-		t.Fatalf("parallel sweep (%d workers): %v", workers, err)
-	}
-	return seq, par
+	return sweep(1), sweep(workers)
 }
 
 // assertIdentical requires the two reports to match byte for byte: same
@@ -54,7 +49,7 @@ func runBoth(t *testing.T, mkSys func(*testing.T) *simelf.System, soname string,
 func assertIdentical(t *testing.T, seq, par *LibReport) {
 	t.Helper()
 	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("parallel LibReport differs from sequential")
+		t.Errorf("LibReports differ")
 		if seq.TotalProbes != par.TotalProbes || seq.TotalFailures != par.TotalFailures {
 			t.Errorf("totals: seq %d probes/%d failures, par %d probes/%d failures",
 				seq.TotalProbes, seq.TotalFailures, par.TotalProbes, par.TotalFailures)
@@ -82,94 +77,129 @@ func assertIdentical(t *testing.T, seq, par *LibReport) {
 		t.Fatal(err)
 	}
 	if string(sx) != string(px) {
-		t.Error("rendered robust-API XML differs between engines")
+		t.Error("rendered robust-API XML differs")
 	}
 }
 
 func TestParallelDeterminismLibm(t *testing.T) {
 	for _, workers := range []int{2, 4, 0} {
-		seq, par := runBoth(t, libmSystem, cmath.Soname, workers)
-		assertIdentical(t, seq, par)
+		one, many := runBoth(t, libmSystem, cmath.Soname, workers)
+		assertIdentical(t, one, many)
 	}
 }
 
 func TestParallelDeterminismLibc(t *testing.T) {
-	seq, par := runBoth(t, libcSystem, clib.LibcSoname, 4)
-	assertIdentical(t, seq, par)
+	one, many := runBoth(t, libcSystem, clib.LibcSoname, 4)
+	assertIdentical(t, one, many)
 }
 
-// TestParallelStatsAndProgress checks the throughput layer: probe
-// totals, per-worker busy time, and monotonic progress callbacks.
+// TestParallelStatsAndProgress checks the throughput layer over a
+// half-warm cache, for one worker and for a pool: per-worker busy time,
+// cache accounting, and progress callbacks that report every function
+// exactly once and never go backwards.
 func TestParallelStatsAndProgress(t *testing.T) {
-	var (
-		mu    sync.Mutex
-		calls []Progress
-		stats *CampaignStats
-	)
-	c, err := New(libcSystem(t), clib.LibcSoname,
-		WithWorkers(3),
-		WithProgress(func(p Progress) {
-			mu.Lock()
-			calls = append(calls, p)
-			mu.Unlock()
-		}),
-		WithStatsSink(func(s *CampaignStats) { stats = s }),
-	)
-	if err != nil {
+	path := cachePath(t)
+	fill := openTestCache(t, path)
+	cold, _ := runCached(t, libcSystem, clib.LibcSoname, fill)
+	if err := fill.Save(); err != nil {
 		t.Fatal(err)
 	}
-	lr, err := c.RunLibrary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats == nil {
-		t.Fatal("stats sink never called")
-	}
-	if stats.Workers != 3 {
-		t.Errorf("stats.Workers = %d, want 3", stats.Workers)
-	}
-	if stats.Probes != lr.TotalProbes {
-		t.Errorf("stats.Probes = %d, report says %d", stats.Probes, lr.TotalProbes)
-	}
-	if len(stats.WorkerBusy) != 3 {
-		t.Errorf("WorkerBusy has %d entries, want 3", len(stats.WorkerBusy))
-	}
-	if stats.ProbesPerSec <= 0 || stats.Elapsed <= 0 {
-		t.Errorf("throughput not measured: %v elapsed, %.1f probes/s", stats.Elapsed, stats.ProbesPerSec)
-	}
-	if len(stats.FuncWall) != len(lr.Funcs) {
-		t.Errorf("FuncWall has %d entries, report has %d functions", len(stats.FuncWall), len(lr.Funcs))
-	}
-	if len(calls) != len(lr.Funcs) {
-		t.Fatalf("progress fired %d times, want once per function (%d)", len(calls), len(lr.Funcs))
-	}
-	last := calls[len(calls)-1]
-	if last.DoneFuncs != len(lr.Funcs) || last.DoneProbes != lr.TotalProbes {
-		t.Errorf("final progress = %+v, want all %d funcs / %d probes done", last, len(lr.Funcs), lr.TotalProbes)
-	}
-	for i := 1; i < len(calls); i++ {
-		if calls[i].DoneProbes < calls[i-1].DoneProbes || calls[i].DoneFuncs != calls[i-1].DoneFuncs+1 {
-			t.Fatalf("progress not monotonic at %d: %+v -> %+v", i, calls[i-1], calls[i])
+	for _, workers := range []int{1, 3} {
+		// Every other function stays warm.
+		cache := openTestCache(t, path)
+		warmFuncs, warmProbes := 0, 0
+		for i, fr := range cold.Funcs {
+			if i%2 == 1 {
+				cache.Drop(fr.Name)
+				continue
+			}
+			warmFuncs++
+			warmProbes += fr.Probes
+		}
+		var (
+			mu    sync.Mutex
+			calls []Progress
+		)
+		lr, stats := runCached(t, libcSystem, clib.LibcSoname, cache,
+			WithWorkers(workers),
+			WithProgress(func(p Progress) {
+				mu.Lock()
+				calls = append(calls, p)
+				mu.Unlock()
+			}))
+		assertIdentical(t, cold, lr)
+		if stats == nil {
+			t.Fatal("stats sink never called")
+		}
+		if stats.Workers != workers || len(stats.WorkerBusy) != workers {
+			t.Errorf("workers=%d: stats.Workers = %d, %d WorkerBusy entries", workers, stats.Workers, len(stats.WorkerBusy))
+		}
+		if stats.CachedFuncs != warmFuncs || stats.CachedProbes != warmProbes {
+			t.Errorf("workers=%d: cached %d funcs / %d probes, want the warm half's %d / %d",
+				workers, stats.CachedFuncs, stats.CachedProbes, warmFuncs, warmProbes)
+		}
+		if stats.Probes != lr.TotalProbes-warmProbes {
+			t.Errorf("workers=%d: stats.Probes = %d, want %d", workers, stats.Probes, lr.TotalProbes-warmProbes)
+		}
+		if stats.ProbesPerSec <= 0 || stats.Elapsed <= 0 || stats.WorkerBusy[0] <= 0 {
+			t.Errorf("workers=%d: throughput not measured: %v elapsed, %.1f probes/s, busy %v",
+				workers, stats.Elapsed, stats.ProbesPerSec, stats.WorkerBusy)
+		}
+		if len(stats.FuncWall) != len(lr.Funcs) {
+			t.Errorf("workers=%d: FuncWall has %d entries, report has %d functions", workers, len(stats.FuncWall), len(lr.Funcs))
+		}
+
+		seen := map[string]int{}
+		for i, p := range calls {
+			seen[p.Func]++
+			if p.TotalFuncs != len(lr.Funcs) || p.TotalProbes != lr.TotalProbes {
+				t.Fatalf("workers=%d: progress totals %+v, want %d funcs / %d probes", workers, p, len(lr.Funcs), lr.TotalProbes)
+			}
+			if i > 0 && (p.DoneFuncs != calls[i-1].DoneFuncs+1 || p.DoneProbes < calls[i-1].DoneProbes) {
+				t.Fatalf("workers=%d: progress not monotonic at %d: %+v -> %+v", workers, i, calls[i-1], p)
+			}
+		}
+		if len(seen) != len(lr.Funcs) || len(calls) != len(lr.Funcs) {
+			t.Errorf("workers=%d: progress fired %d times for %d distinct functions, want each of %d once",
+				workers, len(calls), len(seen), len(lr.Funcs))
+		}
+		if last := calls[len(calls)-1]; last.DoneFuncs != len(lr.Funcs) || last.DoneProbes != lr.TotalProbes {
+			t.Errorf("workers=%d: final progress = %+v, want all %d funcs / %d probes done", workers, last, len(lr.Funcs), lr.TotalProbes)
 		}
 	}
 }
 
-// TestSequentialStats checks the stats layer on the one-worker engine.
+// TestSequentialStats checks that one worker and a pool account the same
+// sweep alike: the same probes, the same per-function entries in the same
+// order, and every worker's busy time measured.
 func TestSequentialStats(t *testing.T) {
-	var stats *CampaignStats
-	c, err := New(libmSystem(t), cmath.Soname, WithStatsSink(func(s *CampaignStats) { stats = s }))
-	if err != nil {
-		t.Fatal(err)
+	sweep := func(workers int) *CampaignStats {
+		var stats *CampaignStats
+		c, err := New(libmSystem(t), cmath.Soname, WithWorkers(workers), WithStatsSink(func(s *CampaignStats) { stats = s }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lr, err := c.RunLibrary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats == nil || stats.Workers != workers || stats.Probes != lr.TotalProbes || len(stats.WorkerBusy) != workers {
+			t.Fatalf("%d-worker stats = %+v", workers, stats)
+		}
+		return stats
 	}
-	lr, err := c.RunLibrary()
-	if err != nil {
-		t.Fatal(err)
+	one, many := sweep(1), sweep(4)
+	if one.WorkerBusy[0] <= 0 {
+		t.Errorf("one-worker WorkerBusy = %v", one.WorkerBusy)
 	}
-	if stats == nil || stats.Workers != 1 || stats.Probes != lr.TotalProbes {
-		t.Fatalf("sequential stats = %+v", stats)
+	if len(one.FuncWall) != len(many.FuncWall) {
+		t.Fatalf("FuncWall lengths differ: %d vs %d", len(one.FuncWall), len(many.FuncWall))
 	}
-	if len(stats.WorkerBusy) != 1 || stats.WorkerBusy[0] <= 0 {
-		t.Errorf("sequential WorkerBusy = %v", stats.WorkerBusy)
+	for i := range one.FuncWall {
+		a, b := one.FuncWall[i], many.FuncWall[i]
+		if a.Name != b.Name || a.Probes != b.Probes || a.Cached != b.Cached || a.Wall <= 0 || b.Wall <= 0 {
+			t.Errorf("FuncWall[%d]: one worker %+v, four workers %+v", i, a, b)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Registry client: the read-through/write-back layer between a
 // campaign's local cache and a shared campaign-cache registry (see
-// collect.Registry). Before a sweep the engines batch-fetch every
-// locally missing key from the registry and fold verified hits into the
+// collect.Registry). Before a sweep the campaign batch-fetches every
+// locally missing key from the registry and folds verified hits into the
 // local cache, so only genuinely novel functions are probed (or, in the
 // distributed fabric, leased); freshly derived entries are pushed back
 // asynchronously so the next runner anywhere in the fleet inherits
@@ -285,10 +285,10 @@ func (rc *RegistryCache) Close() error {
 	return rc.putCl.Close()
 }
 
-// WithRegistry attaches a registry client to a campaign: every engine
-// (sequential, parallel, coordinator) batch-fetches locally missing
-// entries from the registry before probing and pushes freshly derived
-// ones back. A nil client is ignored. Campaigns without a local cache
+// WithRegistry attaches a registry client to a campaign: every sweep
+// (library, single function, distributed coordinator and worker)
+// batch-fetches locally missing entries from the registry before probing
+// and pushes freshly derived ones back. A nil client is ignored. Campaigns without a local cache
 // get an in-memory one, so registry hits still have somewhere to land.
 func WithRegistry(rc *RegistryCache) CampaignOption {
 	return func(c *Campaign) {
@@ -319,7 +319,7 @@ func (c *Campaign) warmFromRegistry(funcs []funcPlan) {
 
 // cachePut records one freshly derived report in the local cache and,
 // when a registry is attached, queues it for push — the single
-// write-back point shared by every engine.
+// write-back point shared by every sweep. Without either it does nothing.
 func (c *Campaign) cachePut(name, config, key string, fr *FuncReport) error {
 	if c.cache != nil {
 		if err := c.cache.put(name, config, key, fr); err != nil {

@@ -3,6 +3,7 @@ package inject
 import (
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"healers/internal/collect"
@@ -161,7 +162,7 @@ func (w *worker) requestLease() (*xmlrep.WorkLease, error) {
 // contribute incomparable results.
 func (w *worker) campaignFor(lease *xmlrep.WorkLease) (*Campaign, error) {
 	if w.camp == nil || w.camp.target != lease.Library ||
-		w.camp.stdin != lease.Stdin || !equalStrings(w.camp.preloads, lease.Preloads) {
+		w.camp.stdin != lease.Stdin || !slices.Equal(w.camp.preloads, lease.Preloads) {
 		opts := []CampaignOption{WithStdin(lease.Stdin), WithPreloads(lease.Preloads...)}
 		if w.cache != nil {
 			opts = append(opts, WithCache(w.cache))
@@ -181,18 +182,6 @@ func (w *worker) campaignFor(lease *xmlrep.WorkLease) (*Campaign, error) {
 			w.id, w.campConfig, lease.Config)
 	}
 	return w.camp, nil
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // runLease sweeps every function of one lease, streaming results.
@@ -259,33 +248,23 @@ func (w *worker) sweepFunc(camp *Campaign, lease *xmlrep.WorkLease, name string,
 	lib, _ := w.sys.Library(lease.Library)
 	proto := lib.Proto(name)
 	fp := funcPlan{name: name, proto: proto, specs: planFunction(proto)}
-	if fr, key := camp.cacheLookup(&fp, lease.Config); fr != nil {
-		return xmlrep.WorkFuncXML{CacheFuncXML: reportToXML(name, key, lease.Config, fr)}, true, nil
-	}
-	key := funcKey(proto, lease.Config)
-	results := make([]ProbeResult, 0, len(fp.specs))
-	start := time.Now()
-	for _, sp := range fp.specs {
+	heartbeat := func() {
 		if time.Since(w.lastContact) >= w.heartbeat {
 			w.beat(lease, done)
 		}
-		r, err := camp.runProbe(proto, sp.param, sp.probe, 0)
-		if err != nil {
-			return xmlrep.WorkFuncXML{}, false, fmt.Errorf("inject: worker %s: probing %s: %w", w.id, name, err)
-		}
-		results = append(results, r)
 	}
-	fr := buildReport(name, proto, results)
-	wall := time.Since(start)
-	w.sum.Probes += fr.Probes
-	if err := camp.cachePut(name, lease.Config, key, fr); err != nil {
-		return xmlrep.WorkFuncXML{}, false, err
+	fr, key, cached, wall, err := camp.sweepFunction(&fp, lease.Config, heartbeat)
+	if err != nil {
+		return xmlrep.WorkFuncXML{}, false, fmt.Errorf("inject: worker %s: sweeping %s: %w", w.id, name, err)
+	}
+	if !cached {
+		w.sum.Probes += fr.Probes
 	}
 	entry := xmlrep.WorkFuncXML{
 		CacheFuncXML: reportToXML(name, key, lease.Config, fr),
 		WallNS:       wall.Nanoseconds(),
 	}
-	return entry, false, nil
+	return entry, cached, nil
 }
 
 // beat sends one heartbeat; failures are ignored — the result stream is

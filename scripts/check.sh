@@ -22,8 +22,8 @@ if [ -n "$fmt" ]; then
 fi
 
 # Robustness-regression gate: the derived robust API must not be weaker
-# than the checked-in baseline (cache-accelerated, so a warm run costs
-# milliseconds).
+# than the checked-in baseline, from an uncached one-worker sweep and
+# from a cache-accelerated one on every CPU.
 sh scripts/verify-api.sh
 
 # Distributed-campaign smoke: a 2-worker loopback sweep must render
