@@ -46,9 +46,10 @@ ci-race:
 	go test -race -timeout 10m ./...
 	sh scripts/smoke-soak.sh
 
-# One iteration of every benchmark proves the measured paths still run.
+# One iteration of every benchmark in every package proves the measured
+# paths still run.
 ci-bench-smoke:
-	go test -run '^$$' -bench . -benchtime=1x .
+	go test -run '^$$' -bench . -benchtime=1x ./...
 
 # Documentation hygiene as its own job: flag/README agreement, godoc
 # coverage, comment placement (vet), and repo-wide gofmt.

@@ -304,7 +304,7 @@ func runCoordinator(o options, tk *healers.Toolkit, copts []inject.CampaignOptio
 	fmt.Fprintf(os.Stderr, "healers-inject: coordinator listening on %s\n", co.Addr())
 	if o.metricsAddr != "" {
 		go func() {
-			if err := http.ListenAndServe(o.metricsAddr, webui.CoordinatorMetricsHandler(co)); err != nil {
+			if err := http.ListenAndServe(o.metricsAddr, webui.MetricsHandlerFor(webui.MetricsSources{Coordinator: co})); err != nil {
 				fmt.Fprintln(os.Stderr, "healers-inject: metrics server:", err)
 			}
 		}()

@@ -58,7 +58,6 @@ func run() error {
 	fmt.Printf("defended run:   %s\n", res)
 
 	st, _ := tk.WrapperState(healers.SecurityWrapper)
-	st.Sync()
 	fmt.Printf("\nwrapper statistics: %d calls intercepted, %d overflow(s) stopped\n",
 		st.TotalCalls(), st.Overflows)
 

@@ -558,7 +558,6 @@ func (t *Toolkit) RunSoak(app string, requests int, rate float64, seed uint64, c
 	}
 	if st != nil {
 		res.ContainedFaults, res.Retried, res.BreakerTrips = st.ContainmentTotals()
-		st.Sync()
 		merged := make([]uint64, gen.HistBuckets)
 		for _, h := range st.ExecHist {
 			for j, v := range h {
@@ -586,7 +585,7 @@ func (t *Toolkit) RunSequenceCampaign(scenario inject.SequenceScenario, opts ...
 	}
 	if st, ok := t.WrapperState(wrappers.ContainmentSoname); ok {
 		for _, fn := range report.SilentCorruptions() {
-			st.NoteSilentCorruption(nil, st.Index(fn))
+			st.NoteSilentCorruption(st.Index(fn))
 		}
 	}
 	return report, nil

@@ -218,7 +218,6 @@ func TestGenerateWrappersAndRun(t *testing.T) {
 	if !res.Crashed() {
 		t.Fatalf("exploit not stopped: %v", res)
 	}
-	st.Sync()
 	if st.Overflows == 0 {
 		t.Error("security state did not count the overflow")
 	}
@@ -512,7 +511,6 @@ func TestRunSequenceCampaignThroughToolkit(t *testing.T) {
 		t.Fatal("sequence campaign caught no silent corruptions")
 	}
 	st, _ := tk.WrapperState(wrappers.ContainmentSoname)
-	st.Sync()
 	var total uint64
 	for _, n := range st.CorruptionCount {
 		total += n

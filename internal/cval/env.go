@@ -3,7 +3,6 @@ package cval
 import (
 	"bytes"
 	"sort"
-	"sync/atomic"
 
 	"healers/internal/cmem"
 )
@@ -77,26 +76,7 @@ type Env struct {
 	// ShellSpawned records a (simulated) successful exec of a shell —
 	// the attacker's win condition in the §3.4 demo.
 	ShellSpawned bool
-
-	// statShard is the process's statistics-shard token: wrapper states
-	// (gen.State) reduce it to a counter shard, so concurrent simulated
-	// processes bump disjoint cache lines instead of one shared word.
-	// NewEnv hands out round-robin tokens; a campaign worker pool may
-	// re-pin it per worker (SetStatShard) for shard ownership.
-	statShard uint32
 }
-
-// envShardTokens distributes statistics-shard tokens across created
-// environments, so concurrently running processes spread over the
-// counter shards without any coordination at capture time.
-var envShardTokens atomic.Uint32
-
-// StatShard returns the process's statistics-shard token.
-func (e *Env) StatShard() uint32 { return e.statShard }
-
-// SetStatShard pins the process's statistics-shard token — used by
-// worker pools that want each worker's probes to own one shard.
-func (e *Env) SetStatShard(tok uint32) { e.statShard = tok }
 
 // NamedFunc is a function registered in the simulated text segment.
 type NamedFunc struct {
@@ -117,7 +97,6 @@ func NewEnv() *Env {
 		textFuncs: make(map[cmem.Addr]NamedFunc),
 		nextText:  TextBase,
 		Statics:   make(map[string]any),
-		statShard: envShardTokens.Add(1),
 	}
 }
 

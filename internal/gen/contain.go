@@ -215,7 +215,7 @@ func (g *containGen) PrefixHook(proto *ctypes.Prototype, st *State) Hook {
 			ctx.DenyReason = ctx.Proto.Name + ": circuit breaker open"
 			ctx.Env.Errno = cval.EDenied
 			ctx.Ret = denyValue(ctx.Proto)
-			st.NoteDeny(ctx.Env, ctx.FuncIndex, ctx.DenyReason)
+			st.NoteDeny(ctx.FuncIndex, ctx.DenyReason)
 			return nil
 		}
 		ctx.Contain = true
@@ -248,7 +248,7 @@ func (g *containGen) PostfixHook(proto *ctypes.Prototype, st *State) Hook {
 
 		if decision.Action == ActionRetry && ctx.invoke != nil {
 			for attempt := 0; attempt < decision.Retries; attempt++ {
-				st.noteRetry(ctx.Env, ctx.FuncIndex)
+				st.noteRetry(ctx.FuncIndex)
 				sp.BeginJournal()
 				ret, f := ctx.invoke()
 				if f == nil {
@@ -270,13 +270,13 @@ func (g *containGen) PostfixHook(proto *ctypes.Prototype, st *State) Hook {
 			return nil
 		}
 
-		st.noteContained(ctx.Env, ctx.FuncIndex, class)
+		st.noteContained(ctx.FuncIndex, class)
 		if g.policy != nil && g.policy.RecordFailure(ctx.Proto.Name, class) {
-			st.noteBreakerTrip(ctx.Env, ctx.FuncIndex)
+			st.noteBreakerTrip(ctx.FuncIndex)
 		}
 		ctx.Denied = true
 		ctx.DenyReason = fmt.Sprintf("%s: contained %s (%s)", ctx.Proto.Name, class, fault.Kind)
-		st.NoteDeny(ctx.Env, ctx.FuncIndex, ctx.DenyReason)
+		st.NoteDeny(ctx.FuncIndex, ctx.DenyReason)
 		if decision.Action == ActionSubstitute && decision.Substitute != nil {
 			ctx.Ret = *decision.Substitute
 			return nil
@@ -383,10 +383,10 @@ func (g *watchdogGen) PostfixHook(proto *ctypes.Prototype, st *State) Hook {
 		// before us (composition without MGContain).
 		if f := ctx.ContainedFault; f != nil && !ctx.escalated && ClassifyFault(f) == ClassHang {
 			ctx.ContainedFault = nil
-			st.noteContained(ctx.Env, ctx.FuncIndex, ClassHang)
+			st.noteContained(ctx.FuncIndex, ClassHang)
 			ctx.Denied = true
 			ctx.DenyReason = fmt.Sprintf("%s: watchdog budget exhausted", ctx.Proto.Name)
-			st.NoteDeny(ctx.Env, ctx.FuncIndex, ctx.DenyReason)
+			st.NoteDeny(ctx.FuncIndex, ctx.DenyReason)
 			ctx.Env.Errno = cval.EINTR
 			ctx.Ret = denyValue(ctx.Proto)
 		}

@@ -61,7 +61,6 @@ func TestContainVirtualizesCrash(t *testing.T) {
 	if v.Int32() != -1 {
 		t.Errorf("virtualized return = %d, want -1", v.Int32())
 	}
-	st.Sync()
 	idx := st.Index("strlen")
 	if st.ContainedCount[idx] != 1 {
 		t.Errorf("ContainedCount = %d, want 1", st.ContainedCount[idx])
@@ -134,7 +133,6 @@ func TestWatchdogConvertsHangToEINTR(t *testing.T) {
 	if v.Int32() != -1 {
 		t.Errorf("return = %d, want -1", v.Int32())
 	}
-	st.Sync()
 	if st.ContainedCount[st.Index("strlen")] != 1 {
 		t.Errorf("ContainedCount = %d, want 1", st.ContainedCount[st.Index("strlen")])
 	}
@@ -271,7 +269,6 @@ func TestContainRetrySucceeds(t *testing.T) {
 	if calls != 3 {
 		t.Errorf("original invoked %d times, want 3", calls)
 	}
-	st.Sync()
 	idx := st.Index("f")
 	if st.RetriedCount[idx] != 2 {
 		t.Errorf("RetriedCount = %d, want 2", st.RetriedCount[idx])
@@ -305,7 +302,6 @@ func TestContainRetryExhaustedFallsBackToDeny(t *testing.T) {
 	if v.Int32() != -1 || env.Errno != cval.EFAULT {
 		t.Errorf("ret=%d errno=%d, want -1/EFAULT", v.Int32(), env.Errno)
 	}
-	st.Sync()
 	idx := st.Index("f")
 	if st.RetriedCount[idx] != 2 || st.ContainedCount[idx] != 1 {
 		t.Errorf("RetriedCount=%d ContainedCount=%d, want 2/1",
@@ -347,7 +343,6 @@ func TestContainEscalatePropagates(t *testing.T) {
 	if f == nil || f.Kind != cmem.FaultHang {
 		t.Errorf("escalated fault = %v, want the original hang", f)
 	}
-	st.Sync()
 	if st.ContainedCount[st.Index("f")] != 0 {
 		t.Error("escalated fault counted as contained")
 	}
@@ -369,7 +364,6 @@ func TestBreakerTripsToUpfrontDeny(t *testing.T) {
 			t.Fatalf("contained call %d faulted: %v", i, f)
 		}
 	}
-	st.Sync()
 	idx := st.Index("f")
 	if st.BreakerTrips[idx] != 1 {
 		t.Errorf("BreakerTrips = %d, want 1", st.BreakerTrips[idx])
@@ -386,7 +380,6 @@ func TestBreakerTripsToUpfrontDeny(t *testing.T) {
 	if env.Errno != cval.EDenied || v.Int32() != -1 {
 		t.Errorf("post-trip ret=%d errno=%d, want -1/EDenied", v.Int32(), env.Errno)
 	}
-	st.Sync()
 	if st.DeniedCount[idx] != 3 { // 2 contained + 1 breaker deny
 		t.Errorf("DeniedCount = %d, want 3", st.DeniedCount[idx])
 	}
@@ -476,9 +469,9 @@ func TestClassifyFaultAndErrno(t *testing.T) {
 func TestStateResetClearsContainmentCounters(t *testing.T) {
 	st := NewState("w")
 	idx := st.Index("f")
-	st.noteContained(nil, idx, ClassCrash)
-	st.noteRetry(nil, idx)
-	st.noteBreakerTrip(nil, idx)
+	st.noteContained(idx, ClassCrash)
+	st.noteRetry(idx)
+	st.noteBreakerTrip(idx)
 	st.Reset()
 	if st.ContainedByClass[idx][ClassCrash] != 0 {
 		t.Errorf("Reset left per-class contained counter: %d", st.ContainedByClass[idx][ClassCrash])

@@ -101,78 +101,38 @@ type MicroGenerator interface {
 	PostfixHook(proto *ctypes.Prototype, st *State) Hook
 }
 
-// StateShards is the number of counter shards a State spreads capture
-// over — a power of two so shard selection is one mask. Each shard's
-// counters live in their own heap arrays, so concurrent writers on
-// different shards never touch the same cache line.
-const StateShards = 16
-
-// stateShard is one worker's slice of the capture counters. Every slot
-// is bumped with a single atomic add (two writers can share a shard
-// after a token collision), and drained losslessly by fold() with an
-// atomic swap — the write path never takes a lock.
-type stateShard struct {
-	callCount  []uint64
-	execTimeNS []int64
-	execHist   [][]uint64
-	funcErrno  [][]uint64
-	denied     []uint64
-	passed     []uint64
-	subst      []uint64
-	contained  []uint64
-	// containedBy splits contained per failure class (NumFailureClasses
-	// slots per function) — the grain the control plane's escalation
-	// decisions run on.
-	containedBy [][]uint64
-	retried     []uint64
-	trips       []uint64
-	corrupt     []uint64
-
-	globalErrno []uint64
-	overflows   uint64
-}
-
 // State is the mutable statistics store shared by every wrapped function
 // of one generated wrapper library — the arrays the paper's generated code
 // indexes (call_counter_num_calls[1206] and friends). One State belongs to
 // one wrapper library instance.
 //
-// Capture is sharded: a parallel fault-injection campaign (or a fleet
-// process) runs many simulated processes against the same preloaded
-// wrapper library at once, and every counter mutation is one atomic add
-// into the calling process's shard (cval.Env.StatShard selects it) —
-// no lock is taken on the hot path. The exported fields hold the
-// *merged* totals: Sync (or any totalling method) folds the shard
-// deltas in, so invariants like "histogram bucket sum == call count"
-// hold at read time, after capture has quiesced, rather than at write
-// time. Direct field access is safe for fabricating profiles on an
-// idle State and for reading after quiesce + Sync.
+// Capture writes the exported fields directly: every counter mutation is
+// one atomic add into the slot the paper's wrapper bumps, with no lock on
+// the hot path, so concurrent simulated processes sharing a preloaded
+// wrapper library (a parallel campaign) never lose an increment. Readers
+// that need a consistent snapshot — "histogram bucket sum == call count"
+// — read after capture has quiesced; TotalCalls and ContainmentTotals
+// load atomically and may run at any time. Direct field writes are safe
+// for fabricating profiles on an idle State.
 type State struct {
 	// Soname names the wrapper library this state belongs to.
 	Soname string
 
-	// mu guards the index tables, the merged fields, and DenyLog. The
-	// capture hot path does not take it; Sync/Reset and the read-side
-	// helpers do.
+	// mu guards the index tables and DenyLog. The counter hot path does
+	// not take it.
 	mu sync.Mutex
 
 	funcIndex map[string]int
 	funcNames []string
-
-	// shards are the per-worker capture counters; writers pick one via
-	// the Env's shard token. Per-function slots are grown by Index,
-	// which must not run concurrently with capture (a wrapper is built
-	// — indexing every symbol — before any process can call it).
-	shards [StateShards]stateShard
 
 	// CallCount counts calls per function index.
 	CallCount []uint64
 	// ExecTime accumulates time spent per function index.
 	ExecTime []time.Duration
 	// ExecHist holds one log2 latency histogram per function index
-	// (HistBuckets buckets, see HistBucket); once merged, the bucket sum
-	// equals the number of calls the exectime micro-generator timed to
-	// completion.
+	// (HistBuckets buckets, see HistBucket); once capture quiesces, the
+	// bucket sum equals the number of calls the exectime micro-generator
+	// timed to completion.
 	ExecHist [][]uint64
 	// FuncErrno histograms errno changes per function.
 	FuncErrno [][]uint64
@@ -241,61 +201,38 @@ type State struct {
 
 // NewState creates an empty state for a wrapper library.
 func NewState(soname string) *State {
-	st := &State{
+	return &State{
 		Soname:      soname,
 		funcIndex:   make(map[string]int),
 		GlobalErrno: make([]uint64, cval.MaxErrno+1),
 	}
-	for s := range st.shards {
-		st.shards[s].globalErrno = make([]uint64, cval.MaxErrno+1)
-	}
-	return st
 }
 
-// shard maps a process environment to its counter shard. A nil env
-// (fabrication, direct helper calls in tests) lands in shard 0.
-func (st *State) shard(env *cval.Env) *stateShard {
-	if env == nil {
-		return &st.shards[0]
-	}
-	return &st.shards[env.StatShard()&(StateShards-1)]
-}
-
-// Reset zeroes every counter — merged fields and shard deltas — while
-// keeping the function index table, so one generated wrapper library can
-// profile several runs independently. The trace ring is emptied but
-// stays armed, and traceSeq keeps counting: post-Reset entries continue
-// the global sequence. Concurrent writers are not stopped; an increment
-// in flight during Reset may survive it, so run-exact assertions must
-// quiesce capture first.
+// Reset zeroes every counter while keeping the function index table, so
+// one generated wrapper library can profile several runs independently.
+// The trace ring is emptied but stays armed, and traceSeq keeps counting:
+// post-Reset entries continue the global sequence. Concurrent writers are
+// not stopped; an increment in flight during Reset may survive it, so
+// run-exact assertions must quiesce capture first.
 func (st *State) Reset() {
 	st.mu.Lock()
 	for i := range st.CallCount {
-		st.CallCount[i] = 0
-		st.ExecTime[i] = 0
-		st.DeniedCount[i] = 0
-		st.PassedCount[i] = 0
-		st.SubstCount[i] = 0
-		st.ContainedCount[i] = 0
-		for j := range st.ContainedByClass[i] {
-			st.ContainedByClass[i][j] = 0
-		}
-		st.RetriedCount[i] = 0
-		st.BreakerTrips[i] = 0
-		st.CorruptionCount[i] = 0
-		for j := range st.ExecHist[i] {
-			st.ExecHist[i][j] = 0
-		}
-		for j := range st.FuncErrno[i] {
-			st.FuncErrno[i][j] = 0
-		}
+		atomic.StoreUint64(&st.CallCount[i], 0)
+		atomic.StoreInt64((*int64)(&st.ExecTime[i]), 0)
+		atomic.StoreUint64(&st.DeniedCount[i], 0)
+		atomic.StoreUint64(&st.PassedCount[i], 0)
+		atomic.StoreUint64(&st.SubstCount[i], 0)
+		atomic.StoreUint64(&st.ContainedCount[i], 0)
+		atomic.StoreUint64(&st.RetriedCount[i], 0)
+		atomic.StoreUint64(&st.BreakerTrips[i], 0)
+		atomic.StoreUint64(&st.CorruptionCount[i], 0)
+		zero(st.ContainedByClass[i])
+		zero(st.ExecHist[i])
+		zero(st.FuncErrno[i])
 	}
-	for j := range st.GlobalErrno {
-		st.GlobalErrno[j] = 0
-	}
-	st.Overflows = 0
+	zero(st.GlobalErrno)
+	atomic.StoreUint64(&st.Overflows, 0)
 	st.DenyLog = nil
-	st.drainShards()
 	st.mu.Unlock()
 
 	st.traceMu.Lock()
@@ -304,85 +241,24 @@ func (st *State) Reset() {
 	st.traceMu.Unlock()
 }
 
-// drainShards discards every shard's pending deltas. Caller holds mu.
-func (st *State) drainShards() {
-	for s := range st.shards {
-		sh := &st.shards[s]
-		for i := range sh.callCount {
-			atomic.SwapUint64(&sh.callCount[i], 0)
-			atomic.SwapInt64(&sh.execTimeNS[i], 0)
-			atomic.SwapUint64(&sh.denied[i], 0)
-			atomic.SwapUint64(&sh.passed[i], 0)
-			atomic.SwapUint64(&sh.subst[i], 0)
-			atomic.SwapUint64(&sh.contained[i], 0)
-			for j := range sh.containedBy[i] {
-				atomic.SwapUint64(&sh.containedBy[i][j], 0)
-			}
-			atomic.SwapUint64(&sh.retried[i], 0)
-			atomic.SwapUint64(&sh.trips[i], 0)
-			atomic.SwapUint64(&sh.corrupt[i], 0)
-			for j := range sh.execHist[i] {
-				atomic.SwapUint64(&sh.execHist[i][j], 0)
-			}
-			for j := range sh.funcErrno[i] {
-				atomic.SwapUint64(&sh.funcErrno[i][j], 0)
-			}
-		}
-		for j := range sh.globalErrno {
-			atomic.SwapUint64(&sh.globalErrno[j], 0)
-		}
-		atomic.SwapUint64(&sh.overflows, 0)
+// zero atomically clears every slot of a histogram.
+func zero(h []uint64) {
+	for j := range h {
+		atomic.StoreUint64(&h[j], 0)
 	}
 }
 
-// Sync folds every shard's pending deltas into the exported merged
-// fields and zeroes the shards. Fold is additive, so profiles
-// fabricated by writing the fields directly are preserved, and calling
-// Sync twice is idempotent. Safe to call while capture is running (the
-// drain is atomic per slot); the merged fields are only *complete* —
-// and the bucket-sum == call-count invariant only exact — once capture
+// Sync is a no-op: capture writes the exported fields directly, so they
+// are always current.
+//
+// Deprecated: there is nothing to merge; read the fields once capture
 // has quiesced.
-func (st *State) Sync() {
-	st.mu.Lock()
-	st.fold()
-	st.mu.Unlock()
-}
-
-// fold merges shard deltas into the exported fields. Caller holds mu.
-func (st *State) fold() {
-	for s := range st.shards {
-		sh := &st.shards[s]
-		for i := range sh.callCount {
-			st.CallCount[i] += atomic.SwapUint64(&sh.callCount[i], 0)
-			st.ExecTime[i] += time.Duration(atomic.SwapInt64(&sh.execTimeNS[i], 0))
-			st.DeniedCount[i] += atomic.SwapUint64(&sh.denied[i], 0)
-			st.PassedCount[i] += atomic.SwapUint64(&sh.passed[i], 0)
-			st.SubstCount[i] += atomic.SwapUint64(&sh.subst[i], 0)
-			st.ContainedCount[i] += atomic.SwapUint64(&sh.contained[i], 0)
-			for j := range sh.containedBy[i] {
-				st.ContainedByClass[i][j] += atomic.SwapUint64(&sh.containedBy[i][j], 0)
-			}
-			st.RetriedCount[i] += atomic.SwapUint64(&sh.retried[i], 0)
-			st.BreakerTrips[i] += atomic.SwapUint64(&sh.trips[i], 0)
-			st.CorruptionCount[i] += atomic.SwapUint64(&sh.corrupt[i], 0)
-			for j := range sh.execHist[i] {
-				st.ExecHist[i][j] += atomic.SwapUint64(&sh.execHist[i][j], 0)
-			}
-			for j := range sh.funcErrno[i] {
-				st.FuncErrno[i][j] += atomic.SwapUint64(&sh.funcErrno[i][j], 0)
-			}
-		}
-		for j := range sh.globalErrno {
-			st.GlobalErrno[j] += atomic.SwapUint64(&sh.globalErrno[j], 0)
-		}
-		st.Overflows += atomic.SwapUint64(&sh.overflows, 0)
-	}
-}
+func (st *State) Sync() {}
 
 // Index returns the stable index for a function name, allocating on first
-// use. Allocation grows every shard's counter slots and must therefore
-// not race with capture — which it cannot in practice: a wrapper library
-// indexes all its symbols at build time, before any process can call it.
+// use. Allocation grows the counter slices and must therefore not race
+// with capture — which it cannot in practice: a wrapper library indexes
+// all its symbols at build time, before any process can call it.
 func (st *State) Index(name string) int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -404,21 +280,6 @@ func (st *State) Index(name string) int {
 	st.RetriedCount = append(st.RetriedCount, 0)
 	st.BreakerTrips = append(st.BreakerTrips, 0)
 	st.CorruptionCount = append(st.CorruptionCount, 0)
-	for s := range st.shards {
-		sh := &st.shards[s]
-		sh.callCount = append(sh.callCount, 0)
-		sh.execTimeNS = append(sh.execTimeNS, 0)
-		sh.execHist = append(sh.execHist, make([]uint64, HistBuckets))
-		sh.funcErrno = append(sh.funcErrno, make([]uint64, cval.MaxErrno+1))
-		sh.denied = append(sh.denied, 0)
-		sh.passed = append(sh.passed, 0)
-		sh.subst = append(sh.subst, 0)
-		sh.contained = append(sh.contained, 0)
-		sh.containedBy = append(sh.containedBy, make([]uint64, NumFailureClasses))
-		sh.retried = append(sh.retried, 0)
-		sh.trips = append(sh.trips, 0)
-		sh.corrupt = append(sh.corrupt, 0)
-	}
 	return i
 }
 
@@ -436,77 +297,71 @@ func (st *State) Name(i int) string {
 	return st.funcNames[i]
 }
 
-// TotalCalls folds pending shard deltas and sums the call counters.
+// TotalCalls sums the call counters.
 func (st *State) TotalCalls() uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.fold()
 	var n uint64
-	for _, c := range st.CallCount {
-		n += c
+	for i := range st.CallCount {
+		n += atomic.LoadUint64(&st.CallCount[i])
 	}
 	return n
 }
 
-// ContainmentTotals folds pending shard deltas and sums the recovery
-// layer's counters across every wrapped function: faults contained,
-// retries issued, breaker trips.
+// ContainmentTotals sums the recovery layer's counters across every
+// wrapped function: faults contained, retries issued, breaker trips.
 func (st *State) ContainmentTotals() (contained, retried, trips uint64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.fold()
 	for i := range st.ContainedCount {
-		contained += st.ContainedCount[i]
-		retried += st.RetriedCount[i]
-		trips += st.BreakerTrips[i]
+		contained += atomic.LoadUint64(&st.ContainedCount[i])
+		retried += atomic.LoadUint64(&st.RetriedCount[i])
+		trips += atomic.LoadUint64(&st.BreakerTrips[i])
 	}
 	return contained, retried, trips
 }
 
-// AddCall bumps a function's call counter in env's shard — one atomic
-// add, no lock. Exported so bounded substitutions (wrappers/subst.go),
-// which bypass the micro-generator composition, account their calls
-// through the same path.
-func (st *State) AddCall(env *cval.Env, idx int) {
-	atomic.AddUint64(&st.shard(env).callCount[idx], 1)
+// AddCall bumps a function's call counter — one atomic add, no lock.
+// Exported so bounded substitutions (wrappers/subst.go), which bypass the
+// micro-generator composition, account their calls through the same
+// path.
+func (st *State) AddCall(idx int) {
+	atomic.AddUint64(&st.CallCount[idx], 1)
 }
 
 // addExecSample accumulates time spent in a wrapped function and bumps
-// its latency histogram bucket, both in env's shard. The total and the
-// bucket sum are reconciled when fold() merges the shards, so the
-// histogram invariant holds at read time after capture quiesces.
-func (st *State) addExecSample(env *cval.Env, idx int, d time.Duration) {
-	sh := st.shard(env)
-	atomic.AddInt64(&sh.execTimeNS[idx], int64(d))
-	atomic.AddUint64(&sh.execHist[idx][HistBucket(d)], 1)
+// its latency histogram bucket.
+func (st *State) addExecSample(idx int, d time.Duration) {
+	atomic.AddInt64((*int64)(&st.ExecTime[idx]), int64(d))
+	atomic.AddUint64(&st.ExecHist[idx][HistBucket(d)], 1)
 }
 
 // addGlobalErrno bumps the cross-function errno histogram.
-func (st *State) addGlobalErrno(env *cval.Env, slot int) {
-	atomic.AddUint64(&st.shard(env).globalErrno[slot], 1)
+func (st *State) addGlobalErrno(slot int) {
+	atomic.AddUint64(&st.GlobalErrno[slot], 1)
 }
 
 // addFuncErrno bumps one function's errno histogram.
-func (st *State) addFuncErrno(env *cval.Env, idx, slot int) {
-	atomic.AddUint64(&st.shard(env).funcErrno[idx][slot], 1)
+func (st *State) addFuncErrno(idx, slot int) {
+	atomic.AddUint64(&st.FuncErrno[idx][slot], 1)
 }
 
 // addOverflow counts a detected canary/bound violation.
-func (st *State) addOverflow(env *cval.Env) {
-	atomic.AddUint64(&st.shard(env).overflows, 1)
+func (st *State) addOverflow() {
+	atomic.AddUint64(&st.Overflows, 1)
 }
 
 // DenyLogCap bounds the DenyLog so a pathological workload cannot grow
 // the veto record without limit; DeniedCount keeps exact totals.
 const DenyLogCap = 1000
 
-// NoteDeny records a veto: the counter goes to env's shard, the
+// NoteDeny records a veto: an atomic add on the counter, the
 // human-readable reason to the locked DenyLog. Denies are rare (each one
 // is a blocked attack or injected fault), so the log's lock is off the
 // common path by construction. Exported so bounded substitutions share
 // the one implementation (and its cap) instead of reimplementing it.
-func (st *State) NoteDeny(env *cval.Env, idx int, reason string) {
-	atomic.AddUint64(&st.shard(env).denied[idx], 1)
+func (st *State) NoteDeny(idx int, reason string) {
+	atomic.AddUint64(&st.DeniedCount[idx], 1)
 	st.mu.Lock()
 	if len(st.DenyLog) < DenyLogCap {
 		st.DenyLog = append(st.DenyLog, reason)
@@ -520,38 +375,37 @@ func (st *State) NoteDeny(env *cval.Env, idx int, reason string) {
 // Exported because the detector lives outside the wrapper — the
 // sequence campaign compares digests across whole processes and reports
 // the verdict back into the wrapper's state.
-func (st *State) NoteSilentCorruption(env *cval.Env, idx int) {
-	atomic.AddUint64(&st.shard(env).corrupt[idx], 1)
+func (st *State) NoteSilentCorruption(idx int) {
+	atomic.AddUint64(&st.CorruptionCount[idx], 1)
 }
 
 // noteContained counts a fault caught and virtualized for a function,
 // in both the per-function total and its failure-class bucket.
-func (st *State) noteContained(env *cval.Env, idx int, class FailureClass) {
-	sh := st.shard(env)
-	atomic.AddUint64(&sh.contained[idx], 1)
+func (st *State) noteContained(idx int, class FailureClass) {
+	atomic.AddUint64(&st.ContainedCount[idx], 1)
 	if c := int(class); c >= 0 && c < NumFailureClasses {
-		atomic.AddUint64(&sh.containedBy[idx][c], 1)
+		atomic.AddUint64(&st.ContainedByClass[idx][c], 1)
 	}
 }
 
 // noteRetry counts one policy-issued retry attempt.
-func (st *State) noteRetry(env *cval.Env, idx int) {
-	atomic.AddUint64(&st.shard(env).retried[idx], 1)
+func (st *State) noteRetry(idx int) {
+	atomic.AddUint64(&st.RetriedCount[idx], 1)
 }
 
 // noteBreakerTrip counts a circuit-breaker trip.
-func (st *State) noteBreakerTrip(env *cval.Env, idx int) {
-	atomic.AddUint64(&st.shard(env).trips[idx], 1)
+func (st *State) noteBreakerTrip(idx int) {
+	atomic.AddUint64(&st.BreakerTrips[idx], 1)
 }
 
 // notePassed counts a call that cleared every installed check.
-func (st *State) notePassed(env *cval.Env, idx int) {
-	atomic.AddUint64(&st.shard(env).passed[idx], 1)
+func (st *State) notePassed(idx int) {
+	atomic.AddUint64(&st.PassedCount[idx], 1)
 }
 
 // noteSubst counts a call routed through a bounded substitution.
-func (st *State) noteSubst(env *cval.Env, idx int) {
-	atomic.AddUint64(&st.shard(env).subst[idx], 1)
+func (st *State) noteSubst(idx int) {
+	atomic.AddUint64(&st.SubstCount[idx], 1)
 }
 
 // SetTraceCap arms the trace ring; the largest capacity requested by any
@@ -745,7 +599,7 @@ func (g *Generator) build(proto *ctypes.Prototype, resolve func() cval.CFunc, st
 		// fault cleared every installed check (NoteDeny covered the
 		// veto case inside the checking hook).
 		if !ctx.Denied {
-			st.notePassed(env, idx)
+			st.notePassed(idx)
 		}
 		return ctx.Ret, nil
 	}
@@ -805,7 +659,7 @@ func (g *Generator) BuildLibrarySubst(soname string, protos []*ctypes.Prototype,
 				if fn == nil {
 					return 0, &cmem.Fault{Kind: cmem.FaultAbort, Op: "wrapper", Detail: "substitute unresolved"}
 				}
-				st.noteSubst(env, idx)
+				st.noteSubst(idx)
 				return fn(env, args)
 			})
 			continue

@@ -99,10 +99,9 @@ func TestFormatNS(t *testing.T) {
 func TestExecSampleFeedsHistogram(t *testing.T) {
 	st := NewState("libtest.so")
 	idx := st.Index("strlen")
-	st.addExecSample(nil, idx, 40*time.Nanosecond)  // bucket 5
-	st.addExecSample(nil, idx, 40*time.Nanosecond)  // bucket 5
-	st.addExecSample(nil, idx, 300*time.Nanosecond) // bucket 8
-	st.Sync()
+	st.addExecSample(idx, 40*time.Nanosecond)  // bucket 5
+	st.addExecSample(idx, 40*time.Nanosecond)  // bucket 5
+	st.addExecSample(idx, 300*time.Nanosecond) // bucket 8
 	if st.ExecHist[idx][5] != 2 || st.ExecHist[idx][8] != 1 {
 		t.Errorf("histogram = %v", st.ExecHist[idx])
 	}

@@ -106,7 +106,7 @@ func (callCounterGen) PostfixSource(*ctypes.Prototype) []string { return nil }
 
 func (callCounterGen) PrefixHook(proto *ctypes.Prototype, st *State) Hook {
 	return func(ctx *CallCtx) *cmem.Fault {
-		st.AddCall(ctx.Env, ctx.FuncIndex)
+		st.AddCall(ctx.FuncIndex)
 		return nil
 	}
 }
@@ -157,7 +157,7 @@ func (exectimeGen) PrefixHook(proto *ctypes.Prototype, st *State) Hook {
 
 func (exectimeGen) PostfixHook(proto *ctypes.Prototype, st *State) Hook {
 	return func(ctx *CallCtx) *cmem.Fault {
-		st.addExecSample(ctx.Env, ctx.FuncIndex, time.Since(ctx.start))
+		st.addExecSample(ctx.FuncIndex, time.Since(ctx.start))
 		return nil
 	}
 }
@@ -196,7 +196,7 @@ func (collectErrorsGen) PrefixHook(proto *ctypes.Prototype, st *State) Hook {
 func (collectErrorsGen) PostfixHook(proto *ctypes.Prototype, st *State) Hook {
 	return func(ctx *CallCtx) *cmem.Fault {
 		if ctx.Env.Errno != ctx.errnoCollect {
-			st.addGlobalErrno(ctx.Env, errnoSlot(ctx.Env.Errno))
+			st.addGlobalErrno(errnoSlot(ctx.Env.Errno))
 		}
 		return nil
 	}
@@ -233,7 +233,7 @@ func (funcErrorsGen) PrefixHook(proto *ctypes.Prototype, st *State) Hook {
 func (funcErrorsGen) PostfixHook(proto *ctypes.Prototype, st *State) Hook {
 	return func(ctx *CallCtx) *cmem.Fault {
 		if ctx.Env.Errno != ctx.errnoFunc {
-			st.addFuncErrno(ctx.Env, ctx.FuncIndex, errnoSlot(ctx.Env.Errno))
+			st.addFuncErrno(ctx.FuncIndex, errnoSlot(ctx.Env.Errno))
 		}
 		return nil
 	}
@@ -338,7 +338,7 @@ func (g *argCheckGen) PrefixHook(proto *ctypes.Prototype, st *State) Hook {
 			ctx.DenyReason = reason
 			ctx.Env.Errno = cval.EDenied
 			ctx.Ret = denyValue(ctx.Proto)
-			st.NoteDeny(ctx.Env, ctx.FuncIndex, reason)
+			st.NoteDeny(ctx.FuncIndex, reason)
 		}
 		for _, c := range checks {
 			var v cval.Value
@@ -414,11 +414,11 @@ func (heapCheckGen) PrefixHook(proto *ctypes.Prototype, st *State) Hook {
 			ctx.Env.Img.Stack.SetGuards(true)
 		}
 		if f := heap.CheckIntegrity(); f != nil {
-			st.addOverflow(ctx.Env)
+			st.addOverflow()
 			return f
 		}
 		if f := ctx.Env.Img.Stack.CheckGuards(); f != nil {
-			st.addOverflow(ctx.Env)
+			st.addOverflow()
 			return f
 		}
 		return nil
@@ -428,14 +428,14 @@ func (heapCheckGen) PrefixHook(proto *ctypes.Prototype, st *State) Hook {
 func (heapCheckGen) PostfixHook(proto *ctypes.Prototype, st *State) Hook {
 	return func(ctx *CallCtx) *cmem.Fault {
 		if f := ctx.Env.Img.Heap.CheckIntegrity(); f != nil {
-			st.addOverflow(ctx.Env)
+			st.addOverflow()
 			return f
 		}
 		// A library call that wrote through a stack buffer (read into
 		// a local, gets into a local) is detected here, before the
 		// caller can return through the smashed frame.
 		if f := ctx.Env.Img.Stack.CheckGuards(); f != nil {
-			st.addOverflow(ctx.Env)
+			st.addOverflow()
 			return f
 		}
 		return nil
@@ -500,7 +500,7 @@ func (boundCheckGen) PrefixHook(proto *ctypes.Prototype, st *State) Hook {
 				room = 0
 			}
 			if need.Bytes > room {
-				st.addOverflow(ctx.Env)
+				st.addOverflow()
 				return &cmem.Fault{
 					Kind: cmem.FaultOverflow, Addr: dst, Op: ctx.Proto.Name,
 					Detail: fmt.Sprintf("write of %d bytes into %d-byte chunk prevented", need.Bytes, room),
@@ -563,7 +563,7 @@ func (fmtCheckGen) PrefixHook(proto *ctypes.Prototype, st *State) Hook {
 				ctx.DenyReason = fmt.Sprintf("%s: format string rejected", ctx.Proto.Name)
 				ctx.Env.Errno = cval.EDenied
 				ctx.Ret = denyValue(ctx.Proto)
-				st.NoteDeny(ctx.Env, ctx.FuncIndex, ctx.DenyReason)
+				st.NoteDeny(ctx.FuncIndex, ctx.DenyReason)
 				return nil
 			}
 		}

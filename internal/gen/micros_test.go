@@ -47,7 +47,6 @@ func TestHeapCheckMicroDetectsAndArms(t *testing.T) {
 	if _, f := wrapped(env, []cval.Value{cval.Ptr(s)}); f == nil || f.Kind != cmem.FaultOverflow {
 		t.Errorf("post-smash call: fault = %v, want OVERFLOW", f)
 	}
-	st.Sync()
 	if st.Overflows != 1 {
 		t.Errorf("Overflows = %d", st.Overflows)
 	}

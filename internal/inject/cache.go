@@ -255,24 +255,35 @@ func (c *Cache) lookup(key, config string) *FuncReport {
 // entry of the same (function, config) whose key no longer matches. With
 // auto-flush enabled the file is rewritten once enough puts accumulate;
 // a flush failure is returned so the caller can surface it (a checkpoint
-// that cannot be written is a failed checkpoint, not a warning).
+// that cannot be written is a failed checkpoint, not a warning), and
+// leaves the in-memory cache as it was before the put, so a refused
+// result is never persisted by a later Save.
 func (c *Cache) put(name, config, key string, fr *FuncReport) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	replaced := make(map[string]*cacheEntry)
 	for k, e := range c.entries {
-		if e.name == name && e.config == config && k != key {
+		if k == key || e.name == name && e.config == config {
+			replaced[k] = e
 			delete(c.entries, k)
 		}
 	}
 	stored := *fr
 	stored.Proto = nil
 	c.entries[key] = &cacheEntry{name: name, config: config, report: &stored}
+	if c.autoFlush > 0 && c.sincePut+1 >= c.autoFlush {
+		if err := c.saveLocked(c.path); err != nil {
+			delete(c.entries, key)
+			for k, e := range replaced {
+				c.entries[k] = e
+			}
+			return err
+		}
+		c.sincePut = 0
+		return nil
+	}
 	c.dirty = true
 	c.sincePut++
-	if c.autoFlush > 0 && c.sincePut >= c.autoFlush {
-		c.sincePut = 0
-		return c.saveLocked(c.path)
-	}
 	return nil
 }
 

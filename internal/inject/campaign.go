@@ -312,10 +312,7 @@ func New(sys *simelf.System, soname string, opts ...CampaignOption) (*Campaign, 
 // satisfied lattice level, call, classify. injected < 0 is the niladic
 // "plain call" probe: no arguments, but the same fuel budget, stdin
 // seeding, and outcome classification as every parameterized probe.
-// shard pins the probe process's statistics-shard token, so a worker
-// pool's probes write disjoint wrapper-state counter shards (callers
-// outside the pool pass 0).
-func (c *Campaign) runProbe(proto *ctypes.Prototype, injected int, probe Probe, shard uint32) (ProbeResult, error) {
+func (c *Campaign) runProbe(proto *ctypes.Prototype, injected int, probe Probe) (ProbeResult, error) {
 	opts := []proc.Option{proc.WithPreloads(c.preloads...)}
 	if c.stdin != "" {
 		opts = append(opts, proc.WithStdin(c.stdin))
@@ -325,7 +322,6 @@ func (c *Campaign) runProbe(proto *ctypes.Prototype, injected int, probe Probe, 
 		return ProbeResult{}, fmt.Errorf("inject: starting probe host: %w", err)
 	}
 	env := p.Env()
-	env.SetStatShard(shard)
 	if err := prepareProbeRegions(env); err != nil {
 		return ProbeResult{}, err
 	}
@@ -516,20 +512,22 @@ func (c *Campaign) RunFunction(name string) (*FuncReport, error) {
 		return nil, fmt.Errorf("inject: %s has no prototype for %q", c.target, name)
 	}
 	fp := funcPlan{name: name, proto: proto, specs: planFunction(proto)}
-	c.warmFromRegistry([]funcPlan{fp})
-	fr, _, _, _, err := c.sweepFunction(&fp, c.configHash(), nil)
+	config := c.configHash()
+	key := funcKey(proto, config)
+	c.warmFromRegistry(config, []string{key})
+	fr, _, _, err := c.sweepFunction(&fp, config, key, nil)
 	return fr, err
 }
 
-// sweepFunction resolves one function on its own, outside a library
-// sweep: from the cache when it holds the function, otherwise by running
-// every planned probe in canonical order (calling beforeProbe, when set,
-// ahead of each) and recording the fresh report in the cache. It returns
-// the function's cache key, whether the report came from the cache, and
-// the time spent probing.
-func (c *Campaign) sweepFunction(fp *funcPlan, config string, beforeProbe func()) (fr *FuncReport, key string, cached bool, wall time.Duration, err error) {
-	if fr, key = c.cacheLookup(fp, config); fr != nil {
-		return fr, key, true, 0, nil
+// sweepFunction resolves one function, whose cache key under config is
+// key, on its own, outside a library sweep: from the cache when it holds
+// the function, otherwise by running every planned probe in canonical
+// order (calling beforeProbe, when set, ahead of each) and recording the
+// fresh report in the cache. It returns whether the report came from the
+// cache and the time spent probing.
+func (c *Campaign) sweepFunction(fp *funcPlan, config, key string, beforeProbe func()) (fr *FuncReport, cached bool, wall time.Duration, err error) {
+	if fr = c.cacheLookup(fp, config, key); fr != nil {
+		return fr, true, 0, nil
 	}
 	results := make([]ProbeResult, 0, len(fp.specs))
 	start := time.Now()
@@ -537,18 +535,18 @@ func (c *Campaign) sweepFunction(fp *funcPlan, config string, beforeProbe func()
 		if beforeProbe != nil {
 			beforeProbe()
 		}
-		r, err := c.runProbe(fp.proto, sp.param, sp.probe, 0)
+		r, err := c.runProbe(fp.proto, sp.param, sp.probe)
 		if err != nil {
-			return nil, key, false, 0, err
+			return nil, false, 0, err
 		}
 		results = append(results, r)
 	}
 	fr = buildReport(fp.name, fp.proto, results)
 	wall = time.Since(start)
 	if err := c.cachePut(fp.name, config, key, fr); err != nil {
-		return nil, key, false, 0, err
+		return nil, false, 0, err
 	}
-	return fr, key, false, wall, nil
+	return fr, false, wall, nil
 }
 
 // scannableFuncs returns the target's probe-able function names in
@@ -567,17 +565,15 @@ func (c *Campaign) scannableFuncs() []string {
 	return out
 }
 
-// cacheLookup computes one planned function's cache key and consults the
-// campaign cache for it, returning the stored report (live prototype
-// attached) or nil.
-func (c *Campaign) cacheLookup(fp *funcPlan, config string) (fr *FuncReport, key string) {
-	key = funcKey(fp.proto, config)
+// cacheLookup consults the campaign cache for one planned function's
+// key, returning the stored report (live prototype attached) or nil.
+func (c *Campaign) cacheLookup(fp *funcPlan, config, key string) (fr *FuncReport) {
 	if c.cache != nil {
 		if fr = c.cache.lookup(key, config); fr != nil {
 			fr.Proto = fp.proto
 		}
 	}
-	return fr, key
+	return fr
 }
 
 // funcPlan is one function's planned sweep.

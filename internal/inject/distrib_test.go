@@ -292,8 +292,8 @@ func TestCoordinatorRefusesForeignResults(t *testing.T) {
 
 // TestRefusedResultEarnsNoCredit: when the coordinator's cache cannot
 // record a result (its checkpoint flush fails), the result is refused and
-// neither the worker's counters nor the unresolved count move — however
-// often the worker resends it.
+// neither the worker's counters, the unresolved count nor the cache's
+// entries move — however often the worker resends it.
 func TestRefusedResultEarnsNoCredit(t *testing.T) {
 	path := cachePath(t)
 	cache := openTestCache(t, path)
@@ -342,6 +342,11 @@ func TestRefusedResultEarnsNoCredit(t *testing.T) {
 	}
 	if got := co.Remaining(); got != before {
 		t.Errorf("Remaining() = %d after refused results, want %d", got, before)
+	}
+	// The failed flush left the cache as it was: the refused result is
+	// not kept for a later Save to persist.
+	if got := cache.Len(); got != 0 {
+		t.Errorf("cache.Len() = %d after refused results, want 0", got)
 	}
 	for _, ws := range co.WorkerStats() {
 		if ws.Funcs != 0 || ws.Probes != 0 || ws.Cached != 0 || ws.Busy != 0 {

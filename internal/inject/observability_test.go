@@ -37,9 +37,7 @@ func TestParallelProfilingHistogramConsistency(t *testing.T) {
 	if _, err := c.RunLibrary(); err != nil {
 		t.Fatalf("parallel sweep under profiling wrapper: %v", err)
 	}
-	// The campaign has quiesced; fold the capture shards, then direct
-	// State field access is safe.
-	st.Sync()
+	// The campaign has quiesced, so direct State field access is safe.
 	total := checkProfilingConsistency(t, st)
 	if total == 0 {
 		t.Fatal("campaign drove no calls through the profiling wrapper")
@@ -49,14 +47,13 @@ func TestParallelProfilingHistogramConsistency(t *testing.T) {
 	}
 
 	// Reset and sweep again: the second run must land on exactly the
-	// same totals — leftover shard deltas surviving the Reset, or
-	// increments lost to it, would both break the equality (the sweep
+	// same totals — counts surviving the Reset, or increments lost to
+	// it, would both break the equality (the sweep
 	// itself is deterministic for any worker count).
 	st.Reset()
 	if _, err := c.RunLibrary(); err != nil {
 		t.Fatalf("post-Reset parallel sweep: %v", err)
 	}
-	st.Sync()
 	if again := checkProfilingConsistency(t, st); again != total {
 		t.Errorf("post-Reset sweep total = %d, want %d (same deterministic campaign)", again, total)
 	}

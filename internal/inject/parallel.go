@@ -181,7 +181,7 @@ func (c *Campaign) RunLibrary() (*LibReport, error) {
 			fp := &plan.funcs[t.fn]
 			sp := fp.specs[t.sp]
 			t0 := time.Now()
-			r, err := c.runProbe(fp.proto, sp.param, sp.probe, uint32(worker))
+			r, err := c.runProbe(fp.proto, sp.param, sp.probe)
 			d := time.Since(t0)
 			stats.WorkerBusy[worker] += d
 			if err == nil {
@@ -240,9 +240,12 @@ func (c *Campaign) partition(funcs []funcPlan, config string) (keys []string, hi
 	if c.cache == nil {
 		return keys, hits
 	}
-	c.warmFromRegistry(funcs)
 	for fi := range funcs {
-		hits[fi], keys[fi] = c.cacheLookup(&funcs[fi], config)
+		keys[fi] = funcKey(funcs[fi].proto, config)
+	}
+	c.warmFromRegistry(config, keys)
+	for fi := range funcs {
+		hits[fi] = c.cacheLookup(&funcs[fi], config, keys[fi])
 	}
 	return keys, hits
 }

@@ -298,23 +298,22 @@ func WithRegistry(rc *RegistryCache) CampaignOption {
 	}
 }
 
-// warmFromRegistry batch-fetches registry entries for every planned
-// function the local cache cannot satisfy. After it returns, a cache
-// lookup hits for every function the fleet has already derived — the
-// engines then probe (or lease) only genuine global misses.
-func (c *Campaign) warmFromRegistry(funcs []funcPlan) {
+// warmFromRegistry batch-fetches registry entries for every given cache
+// key (the planned functions' funcKeys under config) the local cache
+// cannot satisfy. After it returns, a cache lookup hits for every
+// function the fleet has already derived — the engines then probe (or
+// lease) only genuine global misses.
+func (c *Campaign) warmFromRegistry(config string, keys []string) {
 	if c.registry == nil || c.cache == nil {
 		return
 	}
-	config := c.configHash()
-	var keys []string
-	for fi := range funcs {
-		key := funcKey(funcs[fi].proto, config)
+	var missing []string
+	for _, key := range keys {
 		if c.cache.lookup(key, config) == nil {
-			keys = append(keys, key)
+			missing = append(missing, key)
 		}
 	}
-	c.registry.fetchInto(c.cache, config, keys)
+	c.registry.fetchInto(c.cache, config, missing)
 }
 
 // cachePut records one freshly derived report in the local cache and,

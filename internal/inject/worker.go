@@ -194,13 +194,13 @@ func (w *worker) runLease(lease *xmlrep.WorkLease) error {
 	// Warm the whole lease from the shared registry in one batch before
 	// probing anything: functions another runner already derived are
 	// answered from the fetched entries and reported as cache hits.
-	var fps []funcPlan
+	var keys []string
 	for _, name := range lease.Funcs {
 		if proto := lib.Proto(name); proto != nil {
-			fps = append(fps, funcPlan{name: name, proto: proto})
+			keys = append(keys, funcKey(proto, lease.Config))
 		}
 	}
-	camp.warmFromRegistry(fps)
+	camp.warmFromRegistry(lease.Config, keys)
 	for done, name := range lease.Funcs {
 		proto := lib.Proto(name)
 		if proto == nil {
@@ -253,7 +253,8 @@ func (w *worker) sweepFunc(camp *Campaign, lease *xmlrep.WorkLease, name string,
 			w.beat(lease, done)
 		}
 	}
-	fr, key, cached, wall, err := camp.sweepFunction(&fp, lease.Config, heartbeat)
+	key := funcKey(proto, lease.Config)
+	fr, cached, wall, err := camp.sweepFunction(&fp, lease.Config, key, heartbeat)
 	if err != nil {
 		return xmlrep.WorkFuncXML{}, false, fmt.Errorf("inject: worker %s: sweeping %s: %w", w.id, name, err)
 	}

@@ -49,34 +49,27 @@ func (m *CampaignMetrics) snapshot() (runs, probes uint64, last inject.CampaignS
 	return m.runs, m.probes, m.last, m.seen
 }
 
-// MetricsHandler serves the Prometheus text exposition format over the
-// collection server's streaming fleet aggregate and, when camp is
-// non-nil, the campaign throughput counters. Both healers-web and
-// healers-collectd mount it, so one scrape config covers either daemon.
-// col may be nil (no collection server attached); the profile metric
-// families are then omitted. Control-plane and policy-engine families
-// come from MetricsHandlerFor.
-func MetricsHandler(col *collect.Server, camp *CampaignMetrics) http.Handler {
-	return MetricsHandlerFor(MetricsSources{Collector: col, Campaign: camp})
-}
-
 // MetricsSources names everything a /metrics endpoint can render; any
 // field may be nil (its families are omitted). Engines maps a label to
 // each local policy engine whose hot-reload counters should be
 // exported — the closed-loop demo and healers-profile use it to expose
 // healers_policy_reloads_total next to the collector's fleet counters.
 type MetricsSources struct {
-	Collector *collect.Server
-	Campaign  *CampaignMetrics
-	Control   *collect.ControlPlane
-	Registry  *collect.Registry
-	Engines   map[string]*wrappers.PolicyEngine
+	Collector   *collect.Server
+	Campaign    *CampaignMetrics
+	Coordinator *inject.Coordinator
+	Control     *collect.ControlPlane
+	Registry    *collect.Registry
+	Engines     map[string]*wrappers.PolicyEngine
 }
 
-// MetricsHandlerFor serves the Prometheus text format over every
-// non-nil source: fleet profile aggregate, ingest counters, campaign
-// throughput, control-plane policy distribution, and policy-engine
-// hot-reload counters.
+// MetricsHandlerFor serves the Prometheus text exposition format over
+// every non-nil source: fleet profile aggregate, ingest counters,
+// campaign throughput, a distributed campaign's lease table and
+// per-worker throughput, control-plane policy distribution, and
+// policy-engine hot-reload counters. healers-web, healers-collectd and
+// healers-inject -metrics all mount it, so one scrape config covers
+// every daemon.
 func MetricsHandlerFor(src MetricsSources) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var b strings.Builder
@@ -86,6 +79,9 @@ func MetricsHandlerFor(src MetricsSources) http.Handler {
 		}
 		if src.Campaign != nil {
 			writeCampaignMetrics(&b, src.Campaign)
+		}
+		if src.Coordinator != nil {
+			writeCoordinatorMetrics(&b, src.Coordinator)
 		}
 		if src.Control != nil {
 			writeControlMetrics(&b, src.Control)
@@ -246,19 +242,9 @@ func writeIngestMetrics(b *strings.Builder, col *collect.Server) {
 	fmt.Fprintf(b, "# HELP healers_ingest_active_conns Upload connections currently served.\n# TYPE healers_ingest_active_conns gauge\nhealers_ingest_active_conns %d\n", st.ActiveConns)
 }
 
-// CoordinatorMetricsHandler serves the distributed-campaign lease table
-// and per-worker throughput in Prometheus text format. healers-inject
-// -coordinator mounts it under -metrics, so a long sweep across a worker
-// fleet is observable while it runs.
-func CoordinatorMetricsHandler(co *inject.Coordinator) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var b strings.Builder
-		writeCoordinatorMetrics(&b, co)
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		fmt.Fprint(w, b.String())
-	})
-}
-
+// writeCoordinatorMetrics renders a distributed campaign's lease table
+// and per-worker throughput, so a long sweep across a worker fleet is
+// observable while it runs.
 func writeCoordinatorMetrics(b *strings.Builder, co *inject.Coordinator) {
 	workers := co.WorkerStats()
 	shards := co.Shards()

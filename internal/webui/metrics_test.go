@@ -40,7 +40,7 @@ func TestMetricsContainmentFamily(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	ts := httptest.NewServer(MetricsHandler(col, nil))
+	ts := httptest.NewServer(MetricsHandlerFor(MetricsSources{Collector: col}))
 	defer ts.Close()
 	body := get(t, ts.URL, 200)
 
@@ -62,8 +62,7 @@ func TestMetricsContainmentFamily(t *testing.T) {
 }
 
 // TestCoordinatorMetrics: a distributed-campaign coordinator's lease
-// table and per-worker throughput surface through its own /metrics
-// handler.
+// table and per-worker throughput surface on /metrics.
 func TestCoordinatorMetrics(t *testing.T) {
 	sys := simelf.NewSystem()
 	if err := sys.AddLibrary(clib.MustRegistry().AsLibrary()); err != nil {
@@ -76,7 +75,7 @@ func TestCoordinatorMetrics(t *testing.T) {
 	co := inject.NewCoordinator(c, 4)
 
 	rec := httptest.NewRecorder()
-	CoordinatorMetricsHandler(co).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	MetricsHandlerFor(MetricsSources{Coordinator: co}).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
 	for _, want := range []string{
 		"healers_coordinator_workers 0",
@@ -127,7 +126,7 @@ func TestMetricsOutcomeFamily(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	ts := httptest.NewServer(MetricsHandler(col, nil))
+	ts := httptest.NewServer(MetricsHandlerFor(MetricsSources{Collector: col}))
 	defer ts.Close()
 	body := get(t, ts.URL, 200)
 

@@ -39,7 +39,7 @@ func New(tk *core.Toolkit, col *collect.Server) *Server {
 	s.mux.HandleFunc("/library.xml", s.handleLibraryXML)
 	s.mux.HandleFunc("/app", s.handleApp)
 	s.mux.HandleFunc("/profiles", s.handleProfiles)
-	s.mux.Handle("/metrics", MetricsHandler(col, s.camp))
+	s.mux.Handle("/metrics", MetricsHandlerFor(MetricsSources{Collector: col, Campaign: s.camp}))
 	return s
 }
 

@@ -205,7 +205,6 @@ func TestContainmentWrapperEndToEnd(t *testing.T) {
 	if v.Int32() != -1 || env.Errno != cval.EFAULT {
 		t.Errorf("contained strlen = %d, errno %d; want -1/EFAULT", v.Int32(), env.Errno)
 	}
-	st.Sync()
 	idx := st.Index("strlen")
 	if st.ContainedCount[idx] != 1 {
 		t.Errorf("ContainedCount = %d, want 1", st.ContainedCount[idx])
@@ -214,7 +213,6 @@ func TestContainmentWrapperEndToEnd(t *testing.T) {
 	for i := 0; i < DefaultBreakerThreshold; i++ {
 		call("strlen", cval.Ptr(0))
 	}
-	st.Sync()
 	if st.BreakerTrips[idx] != 1 {
 		t.Errorf("BreakerTrips = %d, want 1", st.BreakerTrips[idx])
 	}
@@ -243,7 +241,6 @@ func TestContainmentWithArgCheckDeniesFirst(t *testing.T) {
 	if v.Int32() != -1 || env.Errno != cval.EDenied {
 		t.Errorf("ret=%d errno=%d, want -1/EDenied", v.Int32(), env.Errno)
 	}
-	st.Sync()
 	idx := st.Index("strlen")
 	if st.ContainedCount[idx] != 0 || st.DeniedCount[idx] != 1 {
 		t.Errorf("contained=%d denied=%d, want 0/1", st.ContainedCount[idx], st.DeniedCount[idx])

@@ -40,7 +40,7 @@ func capacityOf(env *cval.Env, dst cmem.Addr) uint32 {
 // denyInt denies a call with errno EDenied and -1.
 func denyInt(env *cval.Env, st *gen.State, idx int, reason string) (cval.Value, *cmem.Fault) {
 	env.Errno = cval.EDenied
-	st.NoteDeny(env, idx, reason)
+	st.NoteDeny(idx, reason)
 	return cval.Int(-1), nil
 }
 
@@ -52,7 +52,7 @@ func substSprintf(next simelf.NextFunc, st *gen.State) (cval.CFunc, error) {
 	}
 	idx := st.Index("sprintf")
 	return func(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
-		st.AddCall(env, idx)
+		st.AddCall(idx)
 		if len(args) < 2 {
 			return denyInt(env, st, idx, "sprintf: too few arguments")
 		}
@@ -83,17 +83,17 @@ func substGets(next simelf.NextFunc, st *gen.State) (cval.CFunc, error) {
 	}
 	idx := st.Index("gets")
 	return func(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
-		st.AddCall(env, idx)
+		st.AddCall(idx)
 		if len(args) < 1 {
 			env.Errno = cval.EDenied
-			st.NoteDeny(env, idx, "gets: too few arguments")
+			st.NoteDeny(idx, "gets: too few arguments")
 			return cval.Ptr(0), nil
 		}
 		dst := args[0]
 		capacity := capacityOf(env, dst.Addr())
 		if capacity == 0 {
 			env.Errno = cval.EDenied
-			st.NoteDeny(env, idx, "gets: destination not writable")
+			st.NoteDeny(idx, "gets: destination not writable")
 			return cval.Ptr(0), nil
 		}
 		return fgets(env, []cval.Value{dst, cval.Int(int64(capacity)), cval.Int(0)})

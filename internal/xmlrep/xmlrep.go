@@ -684,11 +684,9 @@ func (l *ProfileLog) TraceEntries() []TraceEntryXML {
 }
 
 // NewProfileLog snapshots a wrapper State into its document form. The
-// State must be quiesced (no concurrent probe processes mutating it);
-// the snapshot folds any pending capture-shard deltas first, so the
-// document sees the merged totals.
+// State must be quiesced (no concurrent probe processes mutating it), so
+// the counters it reads form one consistent snapshot.
 func NewProfileLog(host, app string, st *gen.State) *ProfileLog {
-	st.Sync()
 	log := &ProfileLog{
 		Host:      host,
 		App:       app,

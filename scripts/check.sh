@@ -45,6 +45,6 @@ sh scripts/smoke-soak.sh
 # chaos-soak benchmarks (the containment wrapper keeping a
 # chaos-stricken workload and a streaming daemon alive end to end), and
 # the capture-contention benchmark (its post-run check asserts the
-# sharded counters stayed exact under parallel load): one iteration
+# shared counters stayed exact under parallel load): one iteration
 # each proves the paths still work.
 go test -run '^$' -bench 'BenchmarkCollect|BenchmarkChaosSurvival|BenchmarkChaosSoak|BenchmarkCaptureContention' -benchtime=1x .
