@@ -34,6 +34,8 @@ ci-check:
 # failing input lands in the package's testdata/fuzz directory.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzKind$$' -fuzztime 10s ./internal/xmlrep
+	go test -run '^$$' -fuzz '^FuzzProfileDecode$$' -fuzztime 10s ./internal/xmlrep
+	go test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime 10s ./internal/collect
 	go test -run '^$$' -fuzz '^FuzzSpanAccess$$' -fuzztime 10s ./internal/cmem
 	go test -run '^$$' -fuzz '^FuzzParseChaos$$' -fuzztime 10s ./internal/cmem
 

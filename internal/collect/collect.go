@@ -19,6 +19,7 @@
 package collect
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -50,7 +51,8 @@ type Received struct {
 // WriteFrame writes one length-prefixed document — the wire protocol's
 // only frame shape, shared by uploads, requests, and responses. The
 // server-side read lives in Server.handle, where the idle and per-frame
-// deadlines interleave with the header and body reads.
+// deadlines interleave with the header and body reads; both sides read
+// the body with readBody.
 func WriteFrame(w io.Writer, data []byte) error {
 	if len(data) == 0 || len(data) > MaxDocSize {
 		return fmt.Errorf("collect: bad document size %d", len(data))
@@ -76,9 +78,33 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if n == 0 || n > MaxDocSize {
 		return nil, fmt.Errorf("collect: bad frame size %d", n)
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, err
+	return readBody(r, int(n))
+}
+
+// frameChunk is the most memory a frame body claims ahead of the bytes
+// that have arrived for it.
+const frameChunk = 64 << 10
+
+// readBody reads an n-byte frame body, n announced by the peer. A body of
+// up to frameChunk bytes gets one exact-size buffer. A larger one is read
+// in frameChunk pieces and joined once it is complete, so a peer that
+// announces MaxDocSize and then stalls or hangs up pins only what it sent
+// plus one chunk, not MaxDocSize.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	if n <= frameChunk {
+		data := make([]byte, n)
+		if _, err := io.ReadFull(r, data); err != nil {
+			return nil, err
+		}
+		return data, nil
 	}
-	return data, nil
+	var chunks [][]byte
+	for left := n; left > 0; left -= frameChunk {
+		c := make([]byte, min(left, frameChunk))
+		if _, err := io.ReadFull(r, c); err != nil {
+			return nil, err
+		}
+		chunks = append(chunks, c)
+	}
+	return bytes.Join(chunks, nil), nil
 }

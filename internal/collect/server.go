@@ -455,8 +455,8 @@ func (s *Server) handle(conn net.Conn) {
 		if s.cfg.readTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.cfg.readTimeout))
 		}
-		data := make([]byte, n)
-		if _, err := io.ReadFull(conn, data); err != nil {
+		data, err := readBody(conn, int(n))
+		if err != nil {
 			s.bumpFramesRejected()
 			return
 		}

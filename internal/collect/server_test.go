@@ -1,12 +1,14 @@
 package collect
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"reflect"
+	"runtime"
 	"syscall"
 	"testing"
 	"time"
@@ -125,6 +127,37 @@ func TestSlowlorisHitsReadDeadline(t *testing.T) {
 	}
 	if st := s.Stats(); st.FramesRejected != 1 {
 		t.Errorf("FramesRejected = %d, want 1", st.FramesRejected)
+	}
+}
+
+// TestAnnouncedFrameDoesNotPinMemory: the body buffer grows with the
+// bytes that arrive, not with the length the peer announces. A peer that
+// announced MaxDocSize, sent 10 bytes and hung up used to cost the server
+// a 16 MiB allocation, pinned until the read deadline; 256 such peers
+// held 4 GiB.
+func TestAnnouncedFrameDoesNotPinMemory(t *testing.T) {
+	s := startServer(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := binary.BigEndian.AppendUint32(nil, MaxDocSize)
+	if _, err := conn.Write(append(frame, "0123456789"...)); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().FramesRejected == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the truncated frame was never rejected")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("a 10-byte body announced as %d bytes cost %d bytes of allocation", MaxDocSize, n)
 	}
 }
 

@@ -864,10 +864,19 @@ func Kind(data []byte) (DocKind, error) {
 	}
 }
 
-// Unmarshal parses a document of the expected type.
+// Unmarshal parses a document of the expected type. Profile documents,
+// the collector's bulk ingest, go through decodeProfile; every other kind
+// through encoding/xml.
 func Unmarshal[T any](data []byte) (*T, error) {
 	var doc T
-	if err := xml.Unmarshal(data, &doc); err != nil {
+	var err error
+	switch p := any(&doc).(type) {
+	case *ProfileLog:
+		err = decodeProfile(data, p)
+	default:
+		err = xml.Unmarshal(data, p)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("xmlrep: unmarshal: %w", err)
 	}
 	return &doc, nil
