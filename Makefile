@@ -38,6 +38,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime 10s ./internal/collect
 	go test -run '^$$' -fuzz '^FuzzSpanAccess$$' -fuzztime 10s ./internal/cmem
 	go test -run '^$$' -fuzz '^FuzzParseChaos$$' -fuzztime 10s ./internal/cmem
+	go test -run '^$$' -fuzz '^FuzzParseHeader$$' -fuzztime 10s ./internal/cheader
 
 # Full suite under the race detector, plus the chaos-soak smoke: a
 # bounded contained soak of the streaming rootd daemon that must

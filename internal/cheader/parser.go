@@ -226,8 +226,9 @@ func parseDecl(src string) (*ctypes.Prototype, error) {
 	proto := &ctypes.Prototype{Name: nameTok.text, Ret: ret}
 	if p.peek().kind == tokIdent && p.peek().text == "void" && p.toks[p.i+1].kind == tokRParen {
 		p.next() // f(void): no parameters.
-	} else {
-		for p.peek().kind != tokRParen {
+	} else if p.peek().kind != tokRParen {
+		// A parameter follows every comma: f(int,) is an error.
+		for {
 			if p.accept(tokEllipsis) {
 				proto.Variadic = true
 				break

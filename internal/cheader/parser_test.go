@@ -71,6 +71,9 @@ func TestParseFunctionPointerParam(t *testing.T) {
 	if cmp.Name != "compar" {
 		t.Errorf("compar name = %q", cmp.Name)
 	}
+	if got, want := p.String(), "void qsort(void* base, size_t nmemb, size_t size, void (*compar)())"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
 }
 
 func TestParseArrayDecay(t *testing.T) {
@@ -155,6 +158,8 @@ func TestParseErrors(t *testing.T) {
 		"unknown_t f(int a);",
 		"int f(int a",
 		"int f(. a);",
+		"int f(int a,);",
+		"int f(void,);",
 	}
 	for _, src := range tests {
 		if _, err := ParsePrototype(src); err == nil {

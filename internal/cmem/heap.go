@@ -23,7 +23,9 @@ const (
 	minChunk    = chunkHeader + chunkAlign
 	// mallocFill is the deterministic junk pattern written into fresh
 	// allocations; C malloc returns garbage, and a recognizable pattern
-	// makes use-of-uninitialized bugs visible in tests.
+	// makes use-of-uninitialized bugs visible in tests. The pages a fill
+	// covers whole become uniform pages of it, so junk-filling a large
+	// block allocates no page data.
 	mallocFill = 0xcd
 )
 

@@ -3,6 +3,8 @@ package cmem
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"weak"
 )
 
 // Image bundles a complete simulated process memory image: address space,
@@ -31,27 +33,57 @@ const (
 
 // NewImage builds a canonical process image: a read-only literal segment, a
 // writable data segment, an empty heap, and a stack of DefaultStackSize.
+// Its space is a copy-on-write clone of the canonical template, so a new
+// image costs a copy of the root table, like fork() a copy of the parent's
+// page tables, not the 1 536 page slots of its mappings.
 func NewImage() *Image {
-	sp := NewSpace()
-	if f := sp.Map(RoBase, roSegSize, ProtRead); f != nil {
-		panic(fmt.Sprintf("cmem: fresh space rejected rodata map: %v", f))
-	}
-	if f := sp.Map(DataBase, dataSegSize, ProtRW); f != nil {
-		panic(fmt.Sprintf("cmem: fresh space rejected data map: %v", f))
-	}
-	st, f := NewStack(sp, StackTop, DefaultStackSize)
-	if f != nil {
-		panic(fmt.Sprintf("cmem: fresh space rejected stack map: %v", f))
-	}
+	sp := canonicalSpace().clone()
 	return &Image{
 		Space:   sp,
 		Heap:    NewHeap(sp, HeapBase, HeapLimit),
-		Stack:   st,
+		Stack:   newStack(sp, StackTop, DefaultStackSize),
 		dataCur: DataBase,
 		dataEnd: DataBase + dataSegSize,
 		roCur:   RoBase,
 		roEnd:   RoBase + roSegSize,
 	}
+}
+
+// canonical holds the frozen template every image's space is cloned from:
+// the rodata, data and stack mappings, with no page data. It is held
+// weakly, and each clone holds it strongly (Space.template), so it lives
+// exactly as long as some process uses it and no canonical leaf stays
+// resident once none does; the next NewImage then builds it again.
+var canonical struct {
+	mu sync.Mutex
+	p  weak.Pointer[Space]
+}
+
+// canonicalSpace returns the canonical template, building it if it has
+// been collected.
+func canonicalSpace() *Space {
+	canonical.mu.Lock()
+	defer canonical.mu.Unlock()
+	if t := canonical.p.Value(); t != nil {
+		return t
+	}
+	t := NewSpace()
+	for _, m := range []struct {
+		base Addr
+		size uint32
+		p    Prot
+	}{
+		{RoBase, roSegSize, ProtRead},
+		{DataBase, dataSegSize, ProtRW},
+		{StackTop - DefaultStackSize, DefaultStackSize, ProtRW},
+	} {
+		if f := t.Map(m.base, m.size, m.p); f != nil {
+			panic(fmt.Sprintf("cmem: fresh space rejected canonical map: %v", f))
+		}
+	}
+	t.freeze()
+	canonical.p = weak.Make(t)
+	return t
 }
 
 // StaticAlloc reserves n bytes (8-aligned) in the writable data segment and

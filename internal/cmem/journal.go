@@ -81,6 +81,8 @@ func (s *Space) CommitJournal() {
 // innermost BeginJournal, newest first, and disarms that journal level.
 // Restoration bypasses protection and fuel: the page was writable when
 // the store went through, and undo must not itself fault or hang.
+// Restoring a byte of a uniform page to a value other than its fill
+// allocates the page's data.
 func (s *Space) RollbackJournal() {
 	entries := s.popJournal()
 	for i := len(entries) - 1; i >= 0; i-- {
@@ -90,10 +92,11 @@ func (s *Space) RollbackJournal() {
 			continue // page unmapped since the write; nothing to restore
 		}
 		if pg.data == nil {
-			if e.old == 0 {
-				continue // lazily-zero page, pre-image was zero anyway
+			if e.old == pg.fill {
+				continue // the page already reads as the pre-image
 			}
-			pg.data = new([PageSize]byte)
+			pg = s.own(e.addr)
+			pg.materialize()
 		}
 		pg.data[e.addr&pageMask] = e.old
 	}
@@ -102,11 +105,7 @@ func (s *Space) RollbackJournal() {
 // journalWrite records a byte's pre-image before it is overwritten. The
 // caller has already located the page and verified writability.
 func (s *Space) journalWrite(pg *page, a Addr) {
-	var old byte
-	if pg.data != nil {
-		old = pg.data[a&pageMask]
-	}
-	s.journal = append(s.journal, journalEntry{addr: a, old: old})
+	s.journal = append(s.journal, journalEntry{addr: a, old: pg.at(uint32(a) & pageMask)})
 }
 
 // JournalDiffEntry is one byte whose committed value differs from its
@@ -142,10 +141,7 @@ func (s *Space) JournalDiff() []JournalDiffEntry {
 		if pg == nil {
 			continue
 		}
-		var cur byte
-		if pg.data != nil {
-			cur = pg.data[a&pageMask]
-		}
+		cur := pg.at(uint32(a) & pageMask)
 		if cur == old {
 			continue
 		}
@@ -203,10 +199,8 @@ func (s *Space) CorruptJournaledByte() (Addr, bool) {
 	if !ok {
 		return 0, false
 	}
-	pg := s.pageOf(a)
-	if pg.data == nil {
-		pg.data = new([PageSize]byte)
-	}
+	pg := s.own(a)
+	pg.materialize()
 	s.journalWrite(pg, a)
 	pg.data[a&pageMask] ^= 0xff
 	return a, true

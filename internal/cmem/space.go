@@ -58,13 +58,50 @@ func (p Prot) String() string {
 }
 
 // page is one slot of the page table. The backing bytes are allocated
-// lazily on first store — a freshly mapped page reads as zeros — so that
-// creating a process image (the fault injector makes thousands) costs page
-// table slots, not megabytes.
+// lazily: a page whose data is nil is uniform and reads as PageSize copies
+// of fill. A freshly mapped page is uniform zeros, and a Fill that covers a
+// whole page makes it uniform again, so creating a process image (the
+// fault injector makes thousands) and junk-filling or clearing large
+// allocations cost page table slots, not megabytes. The first store that
+// covers less than the whole page allocates data, filled with fill.
 type page struct {
 	data   *[PageSize]byte
+	fill   byte
 	prot   Prot
 	mapped bool
+}
+
+// at returns the byte at offset off of the page.
+func (pg *page) at(off uint32) byte {
+	if pg.data == nil {
+		return pg.fill
+	}
+	return pg.data[off]
+}
+
+// materialize gives a uniform page its data, filled with its fill byte.
+// The caller owns the page's slot (see Space.own).
+func (pg *page) materialize() {
+	if pg.data == nil {
+		pg.data = new([PageSize]byte)
+		memset(pg.data[:], pg.fill)
+	}
+}
+
+// memset sets every byte of b to v.
+func memset(b []byte, v byte) {
+	if v == 0 {
+		clear(b)
+		return
+	}
+	if len(b) == 0 {
+		return
+	}
+	// Set one byte, then double the filled prefix with copy.
+	b[0] = v
+	for m := 1; m < len(b); m *= 2 {
+		copy(b[m:], b[:m])
+	}
 }
 
 // The page table splits a 20-bit page number into a root index and a leaf
@@ -110,6 +147,13 @@ const (
 type Space struct {
 	root   [rootLen]*leaf
 	npages int
+
+	// shared marks, one bit per root slot, the leaves this space shares
+	// with its template: they are copied by own before any change.
+	// template is the frozen space they belong to, held so that it lives
+	// as long as some clone does (see image.go).
+	shared   [rootLen / 8]byte
+	template *Space
 
 	// loads/stores count accesses, for the profiling demo's statistics.
 	loads  uint64
@@ -168,6 +212,52 @@ func (s *Space) pageOf(a Addr) *page {
 	return &l[pn&leafMask]
 }
 
+// own returns the slot of a's page for a change to it: data allocation,
+// fill, protection, mapping, unmapping, rollback or corruption. A leaf
+// shared with the template is copied first, and a missing leaf is
+// allocated. Every change to a page slot goes through own, so a frozen
+// template never changes; stores into a page's existing data need not,
+// because a template holds no page data.
+func (s *Space) own(a Addr) *page {
+	pn := a >> pageShift
+	i := pn >> leafBits
+	l := s.root[i]
+	if l == nil {
+		l = new(leaf)
+		s.root[i] = l
+	} else if bit := byte(1) << (i & 7); s.shared[i>>3]&bit != 0 {
+		c := *l
+		l = &c
+		s.root[i] = l
+		s.shared[i>>3] &^= bit
+	}
+	return &l[pn&leafMask]
+}
+
+// freeze makes s a template: every leaf becomes shared, so that neither
+// s nor any clone of it can change them. A template may hold uniform
+// pages but no page data, which clones would otherwise share.
+func (s *Space) freeze() {
+	for i, l := range s.root {
+		if l == nil {
+			continue
+		}
+		for j := range l {
+			if l[j].data != nil {
+				panic("cmem: freezing a space that holds page data")
+			}
+		}
+		s.shared[i>>3] |= 1 << (i & 7)
+	}
+}
+
+// clone returns a new space with the mappings and contents of the frozen
+// space t, sharing its leaves until they change. The clone starts with no
+// fuel limit, no counts and no journal, like NewSpace.
+func (t *Space) clone() *Space {
+	return &Space{root: t.root, npages: t.npages, shared: t.shared, template: t, fuel: -1}
+}
+
 // pageRange returns the first and last page numbers of [base, base+size);
 // size must be non-zero.
 func pageRange(base Addr, size uint32) (first, last Addr) {
@@ -192,12 +282,7 @@ func (s *Space) Map(base Addr, size uint32, p Prot) *Fault {
 		}
 	}
 	for pn := first; pn <= last; pn++ {
-		l := s.root[pn>>leafBits]
-		if l == nil {
-			l = new(leaf)
-			s.root[pn>>leafBits] = l
-		}
-		l[pn&leafMask] = page{prot: p, mapped: true}
+		*s.own(pn << pageShift) = page{prot: p, mapped: true}
 	}
 	s.npages += int(last-first) + 1
 	return nil
@@ -211,8 +296,8 @@ func (s *Space) Unmap(base Addr, size uint32) {
 	}
 	first, last := pageRange(base, size)
 	for pn := first; pn <= last; pn++ {
-		if pg := s.pageOf(pn << pageShift); pg != nil {
-			*pg = page{}
+		if s.pageOf(pn<<pageShift) != nil {
+			*s.own(pn << pageShift) = page{}
 			s.npages--
 		}
 	}
@@ -226,11 +311,10 @@ func (s *Space) Protect(base Addr, size uint32, p Prot) *Fault {
 	}
 	first, last := pageRange(base, size)
 	for pn := first; pn <= last; pn++ {
-		pg := s.pageOf(pn << pageShift)
-		if pg == nil {
+		if s.pageOf(pn<<pageShift) == nil {
 			return segv("mprotect", pn<<pageShift, "page not mapped")
 		}
-		pg.prot = p
+		s.own(pn << pageShift).prot = p
 	}
 	return nil
 }
@@ -313,26 +397,33 @@ func (s *Space) charge(op string, a Addr, n uint32) (uint32, *Fault) {
 	return n, nil
 }
 
-// store prepares n bytes at a on page pg for writing: it records their
-// pre-images when a journal is armed, counts the stores, and returns the
-// backing bytes to write.
+// recordStores records n stores at a on page pg: their pre-images when
+// a journal is armed, and the store count.
+func (s *Space) recordStores(pg *page, a Addr, n uint32) {
+	if s.journalArmed {
+		off := uint32(a) & pageMask
+		s.journal = slices.Grow(s.journal, int(n))
+		for i := range n {
+			s.journal = append(s.journal, journalEntry{addr: a + Addr(i), old: pg.at(off + i)})
+		}
+	}
+	s.stores += uint64(n)
+}
+
+// store prepares n bytes at a on page pg for writing: it records them
+// with recordStores and returns the backing bytes to write, allocating
+// the page's data if it is uniform.
 func (s *Space) store(pg *page, a Addr, n uint32) []byte {
 	if n == 0 {
 		return nil
 	}
+	s.recordStores(pg, a, n)
 	if pg.data == nil {
-		pg.data = new([PageSize]byte)
+		pg = s.own(a)
+		pg.materialize()
 	}
 	off := uint32(a) & pageMask
-	b := pg.data[off : off+n]
-	if s.journalArmed {
-		s.journal = slices.Grow(s.journal, len(b))
-		for i, old := range b {
-			s.journal = append(s.journal, journalEntry{addr: a + Addr(i), old: old})
-		}
-	}
-	s.stores += uint64(n)
-	return b
+	return pg.data[off : off+n]
 }
 
 // ReadByteAt loads one byte.
@@ -348,10 +439,7 @@ func (s *Space) ReadByteAt(a Addr) (byte, *Fault) {
 		return 0, prot("read1", a, "")
 	}
 	s.loads++
-	if pg.data == nil {
-		return 0, nil
-	}
-	return pg.data[a&pageMask], nil
+	return pg.at(uint32(a) & pageMask), nil
 }
 
 // WriteByteAt stores one byte.
@@ -371,7 +459,8 @@ func (s *Space) WriteByteAt(a Addr, v byte) *Fault {
 	}
 	s.stores++
 	if pg.data == nil {
-		pg.data = new([PageSize]byte)
+		pg = s.own(a)
+		pg.materialize()
 	}
 	pg.data[a&pageMask] = v
 	return nil
@@ -388,7 +477,7 @@ func (s *Space) Read(a Addr, dst []byte) *Fault {
 		n, f := s.charge("read1", a, spanLen(a, uint64(len(dst))))
 		s.loads += uint64(n)
 		if pg.data == nil {
-			clear(dst[:n])
+			memset(dst[:n], pg.fill)
 		} else {
 			copy(dst[:n], pg.data[a&pageMask:])
 		}
@@ -429,12 +518,13 @@ func (s *Space) Fill(a Addr, n uint32, v byte) *Fault {
 			return f
 		}
 		k, f := s.charge("write1", a, spanLen(a, uint64(n)))
-		if b := s.store(pg, a, k); len(b) > 0 {
-			// Set one byte, then double the filled prefix with copy.
-			b[0] = v
-			for m := 1; m < len(b); m *= 2 {
-				copy(b[m:], b[:m])
-			}
+		if k == PageSize {
+			// The span is the whole page: it becomes uniform.
+			s.recordStores(pg, a, k)
+			pg = s.own(a)
+			pg.data, pg.fill = nil, v
+		} else {
+			memset(s.store(pg, a, k), v)
 		}
 		if f != nil {
 			return f
@@ -525,11 +615,16 @@ func (s *Space) scanCString(a Addr, max uint32, out *strings.Builder) (n uint32,
 		}
 		l := spanLen(at, uint64(max-n))
 		var b []byte
-		nul := 0 // a page never stored to reads as zeros
-		if pg.data != nil {
+		nul := -1
+		switch {
+		case pg.data != nil:
 			off := uint32(at) & pageMask
 			b = pg.data[off : off+l]
 			nul = bytes.IndexByte(b, 0)
+		case pg.fill == 0:
+			nul = 0
+		case out != nil:
+			b = bytes.Repeat([]byte{pg.fill}, int(l))
 		}
 		want := l
 		if nul >= 0 {
@@ -578,8 +673,9 @@ func (sp *Space) WriteCString(a Addr, s string) *Fault {
 }
 
 // CStrLen walks memory from a until a NUL byte, returning the length. It
-// faults exactly where C strlen would. Every page never stored to reads as
-// zeros, so the walk ends within the 4 GiB address space.
+// faults exactly where C strlen would. A uniform page of a nonzero fill
+// holds no NUL, and a walk that finds none stops after math.MaxUint32
+// bytes.
 func (s *Space) CStrLen(a Addr) (uint32, *Fault) {
 	n, _, f := s.scanCString(a, math.MaxUint32, nil)
 	return n, f

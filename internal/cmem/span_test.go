@@ -3,6 +3,7 @@ package cmem
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -286,14 +287,71 @@ func (p *spanProgram) length() uint32 {
 	return n % (3 * PageSize)
 }
 
+// forkRef returns a reference model with ref's pages and protections,
+// every byte v, and no counts, fuel limit or journal: what a clone of a
+// template built by templateOf(ref, v) holds.
+func forkRef(ref *refSpace, v byte) *refSpace {
+	r := newRefSpace()
+	for pn, rp := range ref.pages {
+		np := &refPage{prot: rp.prot}
+		for i := range np.data {
+			np.data[i] = v
+		}
+		r.pages[pn] = np
+	}
+	return r
+}
+
+// templateOf builds a frozen space with ref's mappings, every page a
+// uniform page of v, through the public calls a process image uses:
+// Map, then a whole-page Fill under a temporary write protection.
+func templateOf(t *testing.T, ref *refSpace, v byte) *Space {
+	t.Helper()
+	tmpl := NewSpace()
+	for pn, rp := range ref.pages {
+		a := pn << pageShift
+		if f := tmpl.Map(a, PageSize, ProtWrite); f != nil {
+			t.Fatal(f)
+		}
+		if f := tmpl.Fill(a, PageSize, v); f != nil {
+			t.Fatal(f)
+		}
+		if f := tmpl.Protect(a, PageSize, rp.prot); f != nil {
+			t.Fatal(f)
+		}
+	}
+	tmpl.freeze()
+	return tmpl
+}
+
+// snapshot copies every leaf of a space, to check later that a template
+// never changes.
+func snapshot(sp *Space) map[int]leaf {
+	leaves := map[int]leaf{}
+	for i, l := range sp.root {
+		if l != nil {
+			leaves[i] = *l
+		}
+	}
+	return leaves
+}
+
 // runSpanProgram executes data against both implementations and fails on
-// the first divergence.
+// the first divergence. Its Fork op replaces the space with a clone of a
+// frozen template and keeps a second clone, with its own reference model,
+// that the Switch op swaps in. The active space and the template are
+// checked after every step: a change that reached a shared leaf changed
+// the template, the only way one clone's ops can reach the other. The
+// other clone is checked at the end.
 func runSpanProgram(t *testing.T, data []byte) {
 	t.Helper()
 	sp, ref := NewSpace(), newRefSpace()
+	sp2, ref2 := NewSpace(), newRefSpace()
+	var tmpl *Space
+	var frozen map[int]leaf
 	p := &spanProgram{data: data}
 	for step := 0; len(p.data) > 0 && step < 64; step++ {
-		op := p.u8() % 16
+		op := p.u8() % 19
 		var what string
 		var got, want any
 		var gf, wf *Fault
@@ -407,6 +465,23 @@ func runSpanProgram(t *testing.T, data []byte) {
 				what = fmt.Sprintf("WriteByteAt(%s, %#x)", a, v)
 				gf, wf = sp.WriteByteAt(a, v), ref.writeByte(a, v)
 			}
+		case 16:
+			a, n, v := p.addr()&^pageMask, uint32(p.u8()%3+1)*PageSize, p.u8()
+			if v == 0 {
+				v = mallocFill
+			}
+			what = fmt.Sprintf("Fill(%s, %d, %#x)", a, n, v)
+			gf, wf = sp.Fill(a, n, v), ref.Fill(a, n, v)
+		case 17:
+			v := p.u8()
+			what = fmt.Sprintf("Fork(%#x)", v)
+			tmpl = templateOf(t, ref, v)
+			frozen = snapshot(tmpl)
+			sp, sp2 = tmpl.clone(), tmpl.clone()
+			ref, ref2 = forkRef(ref, v), forkRef(ref, v)
+		case 18:
+			what = "Switch"
+			sp, sp2, ref, ref2 = sp2, sp, ref2, ref
 		}
 		if !reflect.DeepEqual(gf, wf) {
 			t.Fatalf("step %d %s: fault %v, reference %v", step, what, gf, wf)
@@ -414,8 +489,13 @@ func runSpanProgram(t *testing.T, data []byte) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d %s: result %v, reference %v", step, what, got, want)
 		}
-		compareSpaces(t, fmt.Sprintf("step %d %s", step, what), sp, ref)
+		ctx := fmt.Sprintf("step %d %s", step, what)
+		compareSpaces(t, ctx, sp, ref)
+		if tmpl != nil && !maps.Equal(snapshot(tmpl), frozen) {
+			t.Fatalf("%s: the template changed", ctx)
+		}
 	}
+	compareSpaces(t, "end of program (other clone)", sp2, ref2)
 }
 
 // compareSpaces checks fuel, counts, page count, every mapped byte and
@@ -431,22 +511,15 @@ func compareSpaces(t *testing.T, ctx string, sp *Space, ref *refSpace) {
 	if sp.PageCount() != len(ref.pages) {
 		t.Fatalf("%s: PageCount %d, reference %d", ctx, sp.PageCount(), len(ref.pages))
 	}
-	var zero [PageSize]byte
 	for pn, rp := range ref.pages {
 		pg := sp.pageOf(pn << pageShift)
 		if pg == nil || pg.prot != rp.prot {
 			t.Fatalf("%s: page %s mapped as %v, reference %s", ctx, pn<<pageShift, pg, rp.prot)
 		}
-		data := &zero
-		if pg.data != nil {
-			data = pg.data
-		}
-		if *data != rp.data {
-			i := 0
-			for data[i] == rp.data[i] {
-				i++
+		for i := range uint32(PageSize) {
+			if got, want := pg.at(i), rp.data[i]; got != want {
+				t.Fatalf("%s: byte %s = %#x, reference %#x", ctx, pn<<pageShift+Addr(i), got, want)
 			}
-			t.Fatalf("%s: byte %s = %#x, reference %#x", ctx, pn<<pageShift+Addr(i), data[i], rp.data[i])
 		}
 	}
 	if got, want := sp.JournalDiff(), ref.JournalDiff(); len(got) != 0 || len(want) != 0 {
@@ -474,6 +547,10 @@ func opProtect(base byte, off int16, size uint16, p Prot) []byte {
 	return progOp(3, base, off, append(progU16(size), byte(p))...)
 }
 
+func opUnmap(base byte, off int16, size uint16) []byte {
+	return progOp(2, base, off, progU16(size)...)
+}
+
 func opFuel(n int16) []byte { return append([]byte{4}, progU16(uint16(n))...) }
 
 func opRead(base byte, off int16, n uint16) []byte { return progOp(8, base, off, progU16(n)...) }
@@ -494,10 +571,17 @@ func opReadString(base byte, off int16, max uint16) []byte {
 
 func opWrite64(base byte, off int16) []byte { return progOp(14, base, off, 2, 1, 2, 3, 4, 5, 6) }
 
+func opFillPages(base byte, off int16, pages byte, v byte) []byte {
+	return progOp(16, base, off, pages-1, v)
+}
+
+func opFork(v byte) []byte { return []byte{17, v} }
+
 var (
 	opBegin    = []byte{5}
 	opCommit   = []byte{6}
 	opRollback = []byte{7}
+	opSwitch   = []byte{18}
 )
 
 func program(ops ...[]byte) []byte { return bytes.Join(ops, nil) }
@@ -586,6 +670,51 @@ var spanCases = []struct {
 		opBegin,
 		opFill(baseLow, 0xff8, 0x10, 0),
 		opRollback,
+	)},
+	{"uniform-pages", program(
+		opMap(baseLow, 0, 4*PageSize, ProtRW),
+		opFillPages(baseLow, 0, 3, mallocFill),
+		opWrite(baseLow, 0x1ff0, 0x20, 5),
+		opFill(baseLow, 0x2800, 0x10, 0),
+		opRead(baseLow, 0xff0, 0x2020),
+		opStrlen(baseLow, 0x100),
+		opReadString(baseLow, 0x100, 0x3000),
+		opStrlen(baseLow, 0x2000),
+		opFillPages(baseLow, 0x1000, 1, 0x41),
+		opReadString(baseLow, 0x1ffc, 0x10),
+		opBegin,
+		opFillPages(baseLow, 0, 2, 0x11),
+		opWrite64(baseLow, 0x1008),
+		opRollback,
+		opBegin,
+		opWrite(baseLow, 0x3000, 0x10, 9),
+		opFillPages(baseLow, 0x3000, 1, 0x22),
+		opRollback,
+		opRead(baseLow, 0, 4*PageSize),
+	)},
+	{"clones", program(
+		opMap(baseLow, 0, 3*PageSize, ProtRW),
+		opProtect(baseLow, 0x2000, PageSize, ProtRead),
+		opMap(baseLeafEdge, 0, 2*PageSize, ProtRW),
+		opFork(mallocFill),
+		opWrite(baseLow, 0x10, 0x20, 3),
+		opProtect(baseLow, 0x1000, PageSize, ProtRead),
+		opStrlen(baseLow, 0x2000),
+		opSwitch,
+		opRead(baseLow, 0, 0x40),
+		opFillPages(baseLeafEdge, 0, 1, 0),
+		opBegin,
+		opWrite(baseLow, 0x1ff0, 0x20, 1),
+		opRollback,
+		opSwitch,
+		opUnmap(baseLeafEdge, 0, PageSize),
+		opMap(baseLeafEdge, 2*PageSize, PageSize, ProtRW),
+		opStrlen(baseLeafEdge, 0x1000),
+		opSwitch,
+		opFork(0),
+		opWrite64(baseLeafEdge, 0x1ff8),
+		opSwitch,
+		opRead(baseLeafEdge, 0x1ff8, 8),
 	)},
 }
 

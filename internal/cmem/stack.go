@@ -37,17 +37,21 @@ type Frame struct {
 
 // NewStack maps a stack of the given size ending at top and returns it.
 func NewStack(sp *Space, top Addr, size uint32) (*Stack, *Fault) {
-	bottom := top - Addr(size)
-	if f := sp.Map(bottom, size, ProtRW); f != nil {
+	if f := sp.Map(top-Addr(size), size, ProtRW); f != nil {
 		return nil, f
 	}
+	return newStack(sp, top, size), nil
+}
+
+// newStack returns a stack over the already mapped [top-size, top).
+func newStack(sp *Space, top Addr, size uint32) *Stack {
 	return &Stack{
 		sp:     sp,
 		top:    top,
-		bottom: bottom,
+		bottom: top - Addr(size),
 		cur:    top,
 		secret: 0xb5ad4eceda1ce2a9,
-	}, nil
+	}
 }
 
 // SetGuards toggles canary placement for future frames.

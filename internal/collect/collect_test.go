@@ -2,7 +2,9 @@ package collect
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -60,6 +62,47 @@ func TestUploadAndQuery(t *testing.T) {
 	}
 	if logs[0].App != "app1" || logs[0].TotalCalls() != 10 {
 		t.Errorf("profile = %+v", logs[0])
+	}
+}
+
+// TestRecentProfilesParsesOnlyNewest checks that RecentProfiles parses
+// only the newest n profiles: the older documents are overwritten with
+// bytes that fail to parse, which Profiles reports and RecentProfiles
+// never reaches.
+func TestRecentProfilesParsesOnlyNewest(t *testing.T) {
+	s := startServer(t)
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := range 10 {
+		if err := c.Send(sampleProfile(fmt.Sprintf("app%d", i), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Send(xmlrep.NewDeclarations("libc.so.6", nil)); err != nil {
+		t.Fatal(err)
+	}
+	waitCount(t, s, 11)
+	s.mu.Lock()
+	for i := range 6 {
+		s.docs[s.head+i].Data = []byte("<healers-profile")
+	}
+	s.mu.Unlock()
+	if _, err := s.Profiles(); err == nil {
+		t.Fatal("Profiles parsed the broken documents without an error")
+	}
+	logs, omitted, err := s.RecentProfiles(4)
+	if err != nil {
+		t.Fatalf("RecentProfiles parsed an older document: %v", err)
+	}
+	var apps []string
+	for _, l := range logs {
+		apps = append(apps, l.App)
+	}
+	if want := []string{"app6", "app7", "app8", "app9"}; !reflect.DeepEqual(apps, want) || omitted != 6 {
+		t.Fatalf("RecentProfiles(4) = %v, %d omitted; want %v, 6 omitted", apps, omitted, want)
 	}
 }
 

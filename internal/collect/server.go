@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sort"
 	"sync"
@@ -657,17 +658,37 @@ func (s *Server) KindCounts() map[xmlrep.DocKind]uint64 {
 	return out
 }
 
-// Profiles parses every retained profile document.
+// Profiles parses every retained profile document, oldest first.
 func (s *Server) Profiles() ([]*xmlrep.ProfileLog, error) {
-	var out []*xmlrep.ProfileLog
-	for _, d := range s.Docs(xmlrep.KindProfile) {
-		log, err := xmlrep.Unmarshal[xmlrep.ProfileLog](d.Data)
-		if err != nil {
-			return nil, err
+	logs, _, err := s.RecentProfiles(math.MaxInt)
+	return logs, err
+}
+
+// RecentProfiles parses the newest n retained profile documents, oldest
+// first, and reports how many older retained profiles it left out. Its
+// cost is bounded by n however many documents the server retains.
+func (s *Server) RecentProfiles(n int) (logs []*xmlrep.ProfileLog, omitted int, err error) {
+	var recent [][]byte // newest first
+	s.mu.Lock()
+	for i := len(s.docs) - 1; i >= s.head; i-- {
+		switch {
+		case s.docs[i].Kind != xmlrep.KindProfile:
+		case len(recent) < n:
+			recent = append(recent, s.docs[i].Data)
+		default:
+			omitted++
 		}
-		out = append(out, log)
 	}
-	return out, nil
+	s.mu.Unlock()
+	logs = make([]*xmlrep.ProfileLog, len(recent))
+	for i, data := range recent {
+		log, err := xmlrep.Unmarshal[xmlrep.ProfileLog](data)
+		if err != nil {
+			return nil, 0, err
+		}
+		logs[len(recent)-1-i] = log
+	}
+	return logs, omitted, nil
 }
 
 // AggregateCalls sums call counts per function across all received

@@ -283,8 +283,14 @@ func (p *Prototype) String() string {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(prm.Type.String())
-		if prm.Name != "" {
+		switch {
+		case prm.Name == "":
+			b.WriteString(prm.Type.String())
+		case prm.Type.Kind == KindFuncPtr:
+			// The name goes inside the declarator: void (*name)().
+			b.WriteString("void (*" + prm.Name + ")()")
+		default:
+			b.WriteString(prm.Type.String())
 			b.WriteByte(' ')
 			b.WriteString(prm.Name)
 		}

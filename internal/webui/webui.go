@@ -184,14 +184,19 @@ func (s *Server) handleApp(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleProfiles renders the received profiling documents with HTML bar
-// charts — the Figure 5 display.
+// profilesShown bounds the documents the profiles page parses and
+// renders: a collector retains thousands, and the aggregate above the
+// sections already covers every one.
+const profilesShown = 32
+
+// handleProfiles renders the newest received profiling documents with
+// HTML bar charts — the Figure 5 display.
 func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	if s.col == nil {
 		http.Error(w, "no collection server attached", http.StatusNotFound)
 		return
 	}
-	logs, err := s.col.Profiles()
+	logs, omitted, err := s.col.RecentProfiles(profilesShown)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -200,6 +205,9 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	page(w, "received profiles", func(b *strings.Builder) {
 		s.writeIngestStats(b)
 		s.writeAggregate(b, agg)
+		if omitted > 0 {
+			fmt.Fprintf(b, "<p>showing the newest %d retained profiles; %d older ones are left out</p>", len(logs), omitted)
+		}
 		for _, log := range logs {
 			fmt.Fprintf(b, "<h2>%s on %s (wrapper %s)</h2>", html.EscapeString(log.App), html.EscapeString(log.Host), html.EscapeString(log.Wrapper))
 			type row struct {

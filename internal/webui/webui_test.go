@@ -1,6 +1,7 @@
 package webui
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"healers/internal/collect"
 	"healers/internal/core"
 	"healers/internal/victim"
+	"healers/internal/xmlrep"
 )
 
 func testServer(t *testing.T, col *collect.Server) *httptest.Server {
@@ -129,6 +131,42 @@ func TestProfilesPage(t *testing.T) {
 	body = get(t, ts.URL+"/", http.StatusOK)
 	if !strings.Contains(body, "1 documents received") {
 		t.Errorf("index missing collection stats:\n%.300s", body)
+	}
+}
+
+// TestProfilesPageShowsNewest checks that the profiles page renders only
+// the newest profilesShown documents and says how many it left out.
+func TestProfilesPageShowsNewest(t *testing.T) {
+	col, err := collect.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	ts := testServer(t, col)
+	c, err := collect.Dial(col.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const sent = profilesShown + 3
+	for i := range sent {
+		if err := c.Send(&xmlrep.ProfileLog{Host: "h", App: fmt.Sprintf("app-%03d", i), Wrapper: "w"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for col.Count() < sent && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	body := get(t, ts.URL+"/profiles", http.StatusOK)
+	if n := strings.Count(body, "<h2>app-"); n != profilesShown {
+		t.Errorf("page renders %d profiles, want %d", n, profilesShown)
+	}
+	if strings.Contains(body, "app-002 ") || !strings.Contains(body, "app-003 ") || !strings.Contains(body, fmt.Sprintf("app-%03d ", sent-1)) {
+		t.Error("page does not render the newest profiles")
+	}
+	if !strings.Contains(body, "3 older ones are left out") {
+		t.Error("page does not say how many profiles it left out")
 	}
 }
 

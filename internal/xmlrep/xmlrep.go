@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"reflect"
 	"time"
+	"unicode/utf8"
 
 	"healers/internal/ctypes"
 	"healers/internal/cval"
@@ -847,8 +848,30 @@ var kinds = func() map[string]DocKind {
 	return m
 }()
 
-// Kind sniffs a marshalled document's kind from its root element.
+// Kind sniffs a marshalled document's kind from its root element. A
+// document that starts the way Marshal writes one (an optional XML
+// declaration, whitespace, then a plain start tag) is read from the
+// bytes; anything else, such as a comment, a DOCTYPE, a byte-order mark
+// or a prefixed name, goes through encoding/xml. Both paths agree on
+// every input (FuzzKind).
 func Kind(data []byte) (DocKind, error) {
+	if root, ok := rootName(data); ok {
+		return kindOf(root)
+	}
+	return decodeKind(data)
+}
+
+// kindOf maps a root element's local name to its kind.
+func kindOf(root string) (DocKind, error) {
+	if k, ok := kinds[root]; ok {
+		return k, nil
+	}
+	return "", fmt.Errorf("xmlrep: unknown document root %q", root)
+}
+
+// decodeKind is Kind through encoding/xml: the first start element's
+// local name.
+func decodeKind(data []byte) (DocKind, error) {
 	dec := xml.NewDecoder(bytes.NewReader(data))
 	for {
 		tok, err := dec.Token()
@@ -856,12 +879,103 @@ func Kind(data []byte) (DocKind, error) {
 			return "", fmt.Errorf("xmlrep: sniffing document kind: %w", err)
 		}
 		if se, ok := tok.(xml.StartElement); ok {
-			if k, ok := kinds[se.Name.Local]; ok {
-				return k, nil
-			}
-			return "", fmt.Errorf("xmlrep: unknown document root %q", se.Name.Local)
+			return kindOf(se.Name.Local)
 		}
 	}
+}
+
+// xmlDecl is the declaration Marshal writes, without its newline.
+const xmlDecl = `<?xml version="1.0" encoding="UTF-8"?>`
+
+// rootName reads the root element's name from a document that starts
+// with an optional xmlDecl, whitespace, and a complete start tag whose
+// names are unprefixed ASCII and whose attribute values are printable
+// ASCII without entities. encoding/xml reads every such start to the
+// same name without an error; for any other start, ok is false.
+func rootName(data []byte) (root string, ok bool) {
+	p := xmlScan(bytes.TrimPrefix(data, []byte(xmlDecl)))
+	p.space()
+	if !p.byte('<') {
+		return "", false
+	}
+	name, ok := p.name()
+	if !ok {
+		return "", false
+	}
+	for {
+		p.space()
+		switch {
+		case p.byte('>'):
+			return string(name), true
+		case p.byte('/'):
+			return string(name), p.byte('>')
+		}
+		if _, ok := p.name(); !ok {
+			return "", false
+		}
+		p.space()
+		if !p.byte('=') {
+			return "", false
+		}
+		p.space()
+		if !p.attrValue() {
+			return "", false
+		}
+	}
+}
+
+// xmlScan is the unread rest of a document for rootName.
+type xmlScan []byte
+
+// byte consumes c if it comes next.
+func (p *xmlScan) byte(c byte) bool {
+	if len(*p) == 0 || (*p)[0] != c {
+		return false
+	}
+	*p = (*p)[1:]
+	return true
+}
+
+// space consumes XML whitespace.
+func (p *xmlScan) space() {
+	*p = bytes.TrimLeft(*p, " \t\r\n")
+}
+
+// name consumes an unprefixed ASCII name. It fails on a name that
+// encoding/xml would read differently: one with a colon, a non-ASCII
+// byte, or a first byte that cannot start a name.
+func (p *xmlScan) name() ([]byte, bool) {
+	s := *p
+	n := 0
+	for n < len(s) && (isLetter(s[n]) || n > 0 && ('0' <= s[n] && s[n] <= '9' || s[n] == '.' || s[n] == '-')) {
+		n++
+	}
+	if n == 0 || n < len(s) && (s[n] == ':' || s[n] >= utf8.RuneSelf) {
+		return nil, false
+	}
+	*p = s[n:]
+	return s[:n], true
+}
+
+func isLetter(c byte) bool { return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_' }
+
+// attrValue consumes a quoted attribute value of printable ASCII, tabs
+// and line breaks, with no '<' or '&'.
+func (p *xmlScan) attrValue() bool {
+	s := *p
+	if len(s) == 0 || s[0] != '"' && s[0] != '\'' {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == s[0]:
+			*p = s[i+1:]
+			return true
+		case c == '<' || c == '&' || c > '~' || c < ' ' && c != '\t' && c != '\n' && c != '\r':
+			return false
+		}
+	}
+	return false
 }
 
 // Unmarshal parses a document of the expected type. Profile documents,
