@@ -306,7 +306,13 @@ func (d *deriveLoop) step(srv *collect.Server) {
 	}
 	fmt.Printf("derive: published policy revision %d (%d rules)\n", doc.Revision, len(doc.Rules))
 	if d.policyFile != "" {
-		if err := writeFileAtomic(d.policyFile, doc); err != nil {
+		// Replaced atomically, so the file-watching subscribers never
+		// read a torn policy file.
+		data, err := xmlrep.Marshal(doc)
+		if err == nil {
+			err = xmlrep.WriteFileAtomic(d.policyFile, data, 0o644)
+		}
+		if err != nil {
 			fmt.Printf("derive: writing %s: %v\n", d.policyFile, err)
 		}
 	}
@@ -337,21 +343,6 @@ func (d *deriveLoop) reprobe(escalations []core.Escalation) {
 			fmt.Printf("derive: saving cache: %v\n", err)
 		}
 	}
-}
-
-// writeFileAtomic writes the marshalled document via a same-directory
-// rename, so a crash mid-write cannot leave a torn policy file for the
-// file-watching subscribers.
-func writeFileAtomic(path string, doc *xmlrep.PolicyDoc) error {
-	data, err := xmlrep.Marshal(doc)
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // report prints documents received since cursor and returns the new one.

@@ -19,6 +19,7 @@ import (
 
 	"healers"
 	"healers/internal/ctypes"
+	"healers/internal/wrappers"
 	"healers/internal/xmlrep"
 )
 
@@ -100,12 +101,7 @@ func run(kind, lib, fn string, derive bool, policyFile string) error {
 			if err != nil {
 				return err
 			}
-			api = healers.RobustAPI{}
-			params := make([]ctypes.RobustParam, len(fr.Verdicts))
-			for i, v := range fr.Verdicts {
-				params[i] = ctypes.RobustParam{Name: v.Name, Chain: v.Chain, Level: v.Level, LevelName: v.LevelName}
-			}
-			api[fn] = params
+			api = (&healers.LibReport{Funcs: []*healers.FuncReport{fr}}).RobustAPI()
 			fmt.Printf("/* robust API derived by fault injection: %v */\n", fr.RobustLevelNames())
 		} else {
 			scan, err := tk.ScanLibrary(lib)
@@ -116,7 +112,7 @@ func run(kind, lib, fn string, derive bool, policyFile string) error {
 			if proto == nil {
 				return fmt.Errorf("no prototype for %q in %s", fn, lib)
 			}
-			api = strongest(proto)
+			api = wrappers.StrongestAPI([]*ctypes.Prototype{proto})
 			fmt.Println("/* robust API assumed strongest (use -derive for the measured one) */")
 		}
 	}
@@ -126,15 +122,4 @@ func run(kind, lib, fn string, derive bool, policyFile string) error {
 	}
 	fmt.Print(src)
 	return nil
-}
-
-// strongest builds a worst-case robust API for one prototype.
-func strongest(proto *ctypes.Prototype) healers.RobustAPI {
-	params := make([]ctypes.RobustParam, len(proto.Params))
-	for i, prm := range proto.Params {
-		chain := ctypes.ChainFor(prm)
-		lvl := chain.Strongest()
-		params[i] = ctypes.RobustParam{Name: prm.Name, Chain: chain.Name, Level: lvl, LevelName: chain.Levels[lvl].Name}
-	}
-	return healers.RobustAPI{proto.Name: params}
 }

@@ -87,10 +87,16 @@ func (p *parser) parseBaseType() (*ctypes.CType, error) {
 	}
 base:
 	t := p.peek()
-	if t.kind != tokIdent {
-		if unsigned || signed {
-			return with(ctypes.UInt, isConst, unsigned), nil
+	if unsigned || signed {
+		switch t.text {
+		case "char", "short", "int", "long":
+		default:
+			// A bare signed/unsigned means int; what follows is the
+			// declarator, not a type name.
+			return with(ctypes.Int, isConst, unsigned), nil
 		}
+	}
+	if t.kind != tokIdent {
 		return nil, fmt.Errorf("cheader: expected type name, got %q in %q", t, p.src)
 	}
 	p.next()
@@ -98,9 +104,6 @@ base:
 	case "void":
 		return with(ctypes.Void, isConst, false), nil
 	case "char":
-		if unsigned || signed {
-			return with(ctypes.Char, isConst, false), nil
-		}
 		return with(ctypes.Char, isConst, false), nil
 	case "short":
 		p.acceptIdent("int")
@@ -125,13 +128,16 @@ base:
 }
 
 // with applies qualifiers to a shared base type, copying when needed.
+// unsigned turns int and long (both int width in the simulated ABI) into
+// KindUInt; unsigned char, short and long long keep their kinds, because
+// the type model has no unsigned variant of those widths.
 func with(base *ctypes.CType, isConst, unsigned bool) *ctypes.CType {
 	if !isConst && !unsigned {
 		return base
 	}
 	cp := *base
 	cp.Const = cp.Const || isConst
-	if unsigned && cp.Kind == ctypes.KindInt {
+	if unsigned && (cp.Kind == ctypes.KindInt || cp.Kind == ctypes.KindLong) {
 		cp.Kind = ctypes.KindUInt
 	}
 	return &cp

@@ -34,6 +34,11 @@ func TestParseSimplePrototypes(t *testing.T) {
 		{"double atof(const char *nptr);", "atof", "double atof(const char* nptr)"},
 		{"wctrans_t wctrans(const char *name);", "wctrans", "wctrans_t wctrans(const char* name)"},
 		{"char **environ_list(void);", "environ_list", "char** environ_list(void)"},
+		{"unsigned long strtoul(const char *nptr, char **endptr, int base);", "strtoul", "unsigned int strtoul(const char* nptr, char** endptr, int base)"},
+		{"unsigned long int f(unsigned long n);", "f", "unsigned int f(unsigned int n)"},
+		{"int f(signed x);", "f", "int f(int x)"},
+		{"signed int f(signed int x, unsigned u);", "f", "int f(int x, unsigned int u)"},
+		{"unsigned char f(unsigned short s, unsigned long long n);", "f", "char f(short s, long long n)"},
 	}
 	for _, tt := range tests {
 		p := mustParse(t, tt.src)

@@ -242,7 +242,7 @@ func (r *Registry) Put(hierarchy string, fn *xmlrep.CacheFuncXML) (bool, error) 
 		return false, err
 	}
 	if r.dir != "" {
-		if err := writeFileAtomic(filepath.Join(r.dir, fn.Key+".xml"), data); err != nil {
+		if err := xmlrep.WriteFileAtomic(filepath.Join(r.dir, fn.Key+".xml"), data, 0o600); err != nil {
 			return false, fmt.Errorf("collect: registry: %w", err)
 		}
 	}
@@ -257,29 +257,6 @@ func marshalEntryDoc(hierarchy string, fn *xmlrep.CacheFuncXML) ([]byte, error) 
 	doc := &xmlrep.CampaignCacheDoc{Hierarchy: hierarchy, Funcs: []xmlrep.CacheFuncXML{*fn}}
 	xmlrep.Seal(doc)
 	return xmlrep.Marshal(doc)
-}
-
-// writeFileAtomic writes data via a temp file + rename so a concurrent
-// reader (or a crash) never observes a half-written entry.
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".reg-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
 }
 
 // Get answers one lookup: the entries held for the requested keys (each

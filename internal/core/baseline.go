@@ -32,6 +32,8 @@ type BaselineDiff struct {
 	Detail string
 }
 
+// String renders the difference as one report line: function, parameter
+// when there is one, kind, and detail.
 func (d BaselineDiff) String() string {
 	if d.Param != "" {
 		return fmt.Sprintf("%s (param %s): %s — %s", d.Func, d.Param, d.Kind, d.Detail)

@@ -245,40 +245,38 @@ func (t *Toolkit) DeriveRobustAPI(soname string, opts ...inject.CampaignOption) 
 // ---------------------------------------------------------------------
 // Wrapper generation (§2.3)
 
-// installWrapper registers a generated library and its state.
-func (t *Toolkit) installWrapper(lib *simelf.Library, st *gen.State) error {
-	if err := t.sys.AddLibrary(lib); err != nil {
-		return err
+// generate looks up target, builds a wrapper over it with build, and
+// installs the wrapper library and its state — the step every
+// Generate*Wrapper shares.
+func (t *Toolkit) generate(target string, build func(*simelf.Library) (*simelf.Library, *gen.State, error)) (*gen.State, error) {
+	lib, ok := t.sys.Library(target)
+	if !ok {
+		return nil, fmt.Errorf("core: no such library %q", target)
 	}
-	t.states[lib.Soname] = st
-	return nil
+	wrapper, st, err := build(lib)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.sys.AddLibrary(wrapper); err != nil {
+		return st, err
+	}
+	t.states[wrapper.Soname] = st
+	return st, nil
 }
 
 // GenerateRobustnessWrapper builds and installs the robustness wrapper
 // for target enforcing api. names == nil wraps the whole library.
 func (t *Toolkit) GenerateRobustnessWrapper(target string, api ctypes.RobustAPI, names []string) (*gen.State, error) {
-	lib, ok := t.sys.Library(target)
-	if !ok {
-		return nil, fmt.Errorf("core: no such library %q", target)
-	}
-	wrapper, st, err := wrappers.Robustness(lib, api, names)
-	if err != nil {
-		return nil, err
-	}
-	return st, t.installWrapper(wrapper, st)
+	return t.generate(target, func(lib *simelf.Library) (*simelf.Library, *gen.State, error) {
+		return wrappers.Robustness(lib, api, names)
+	})
 }
 
 // GenerateSecurityWrapper builds and installs the security wrapper.
 func (t *Toolkit) GenerateSecurityWrapper(target string, names []string) (*gen.State, error) {
-	lib, ok := t.sys.Library(target)
-	if !ok {
-		return nil, fmt.Errorf("core: no such library %q", target)
-	}
-	wrapper, st, err := wrappers.Security(lib, names)
-	if err != nil {
-		return nil, err
-	}
-	return st, t.installWrapper(wrapper, st)
+	return t.generate(target, func(lib *simelf.Library) (*simelf.Library, *gen.State, error) {
+		return wrappers.Security(lib, names)
+	})
 }
 
 // CollectorEnvVar is the environment variable through which a wrapped
@@ -290,30 +288,32 @@ const CollectorEnvVar = "HEALERS_COLLECTOR"
 // exit-flush hook uploads the XML profile to the address in the wrapped
 // process's HEALERS_COLLECTOR environment variable, if set.
 func (t *Toolkit) GenerateProfilingWrapper(target string, names []string) (*gen.State, error) {
-	lib, ok := t.sys.Library(target)
+	return t.generate(target, func(lib *simelf.Library) (*simelf.Library, *gen.State, error) {
+		wrapper, st, err := wrappers.Profiling(lib, names)
+		if err != nil {
+			return nil, nil, err
+		}
+		st.OnExit = uploadProfile
+		return wrapper, st, nil
+	})
+}
+
+// uploadProfile is the profiling wrapper's exit-flush hook: it uploads
+// the XML profile to the collector named by CollectorEnvVar, if set.
+func uploadProfile(env *cval.Env, st *gen.State) {
+	addr, ok := env.GetenvString(CollectorEnvVar)
 	if !ok {
-		return nil, fmt.Errorf("core: no such library %q", target)
+		return
 	}
-	wrapper, st, err := wrappers.Profiling(lib, names)
-	if err != nil {
-		return nil, err
+	app, _ := env.GetenvString("HEALERS_APP")
+	if app == "" {
+		app = "wrapped-app"
 	}
-	st.OnExit = func(env *cval.Env, st *gen.State) {
-		addr, ok := env.GetenvString(CollectorEnvVar)
-		if !ok {
-			return
-		}
-		app, _ := env.GetenvString("HEALERS_APP")
-		if app == "" {
-			app = "wrapped-app"
-		}
-		// Upload failures must not take down the wrapped application;
-		// the error lands on its stderr instead.
-		if err := collect.Upload(addr, xmlrep.NewProfileLog("sim-host", app, st)); err != nil {
-			fmt.Fprintf(&env.Stderr, "healers: profile upload failed: %v\n", err)
-		}
+	// Upload failures must not take down the wrapped application; the
+	// error lands on its stderr instead.
+	if err := collect.Upload(addr, xmlrep.NewProfileLog("sim-host", app, st)); err != nil {
+		fmt.Fprintf(&env.Stderr, "healers: profile upload failed: %v\n", err)
 	}
-	return st, t.installWrapper(wrapper, st)
 }
 
 // GenerateContainmentWrapper builds and installs the fault-containment
@@ -322,15 +322,9 @@ func (t *Toolkit) GenerateProfilingWrapper(target string, names []string) (*gen.
 // upfront argument checks); policy may be nil (deny-on-failure with the
 // default circuit breaker).
 func (t *Toolkit) GenerateContainmentWrapper(target string, api ctypes.RobustAPI, policy gen.ContainPolicy, names []string) (*gen.State, error) {
-	lib, ok := t.sys.Library(target)
-	if !ok {
-		return nil, fmt.Errorf("core: no such library %q", target)
-	}
-	wrapper, st, err := wrappers.Containment(lib, api, policy, names)
-	if err != nil {
-		return nil, err
-	}
-	return st, t.installWrapper(wrapper, st)
+	return t.generate(target, func(lib *simelf.Library) (*simelf.Library, *gen.State, error) {
+		return wrappers.Containment(lib, api, policy, names)
+	})
 }
 
 // LoadPolicyXML parses a recovery-policy document (healers-gen -policy)

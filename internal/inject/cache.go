@@ -272,7 +272,7 @@ func (c *Cache) put(name, config, key string, fr *FuncReport) error {
 	stored.Proto = nil
 	c.entries[key] = &cacheEntry{name: name, config: config, report: &stored}
 	if c.autoFlush > 0 && c.sincePut+1 >= c.autoFlush {
-		if err := c.saveLocked(c.path); err != nil {
+		if err := c.saveLocked(); err != nil {
 			delete(c.entries, key)
 			for k, e := range replaced {
 				c.entries[k] = e
@@ -295,20 +295,14 @@ func (c *Cache) Save() error {
 	if !c.dirty {
 		return nil
 	}
-	return c.saveLocked(c.path)
-}
-
-// SaveAs writes the cache to an alternate path unconditionally.
-func (c *Cache) SaveAs(path string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.saveLocked(path)
+	return c.saveLocked()
 }
 
 // saveLocked renders and atomically replaces the cache file (temp file +
 // rename), so a crash mid-write leaves either the old intact file or the
 // new one — never a truncated hybrid. Callers hold c.mu.
-func (c *Cache) saveLocked(path string) error {
+func (c *Cache) saveLocked() error {
+	path := c.path
 	if path == "" {
 		return nil
 	}
@@ -321,21 +315,7 @@ func (c *Cache) saveLocked(path string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("inject: creating cache directory: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, ".campaign-cache-*")
-	if err != nil {
-		return fmt.Errorf("inject: writing campaign cache: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("inject: writing campaign cache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("inject: writing campaign cache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := xmlrep.WriteFileAtomic(path, data, 0o600); err != nil {
 		return fmt.Errorf("inject: writing campaign cache: %w", err)
 	}
 	c.dirty = false

@@ -308,11 +308,13 @@ func New(sys *simelf.System, soname string, opts ...CampaignOption) (*Campaign, 
 }
 
 // runProbe executes one probe call in a fresh process: materialize every
-// argument (golden except for the injected parameter), compute the
-// satisfied lattice level, call, classify. injected < 0 is the niladic
-// "plain call" probe: no arguments, but the same fuel budget, stdin
-// seeding, and outcome classification as every parameterized probe.
-func (c *Campaign) runProbe(proto *ctypes.Prototype, injected int, probe Probe) (ProbeResult, error) {
+// argument, golden except for the parameters the injected set inj names,
+// call, classify. The niladic plain call's one spec names no parameter
+// (param -1) and injects nothing; a single-fault probe injects one
+// parameter and is the only kind that records the satisfied lattice
+// level (and its Param/Probe); a pairwise probe injects two. Every kind
+// gets the same fuel budget, stdin seeding, and outcome classification.
+func (c *Campaign) runProbe(proto *ctypes.Prototype, inj []probeSpec) (ProbeResult, error) {
 	opts := []proc.Option{proc.WithPreloads(c.preloads...)}
 	if c.stdin != "" {
 		opts = append(opts, proc.WithStdin(c.stdin))
@@ -328,8 +330,8 @@ func (c *Campaign) runProbe(proto *ctypes.Prototype, injected int, probe Probe) 
 	args := make([]cval.Value, len(proto.Params))
 	for i, prm := range proto.Params {
 		pr := GoldenProbe(prm)
-		if i == injected {
-			pr = probe
+		if sp, ok := injectedAt(inj, i); ok {
+			pr = sp.probe
 		}
 		v, err := pr.Make(env)
 		if err != nil {
@@ -337,26 +339,23 @@ func (c *Campaign) runProbe(proto *ctypes.Prototype, injected int, probe Probe) 
 		}
 		args[i] = v
 	}
-	sat := 0
-	if injected >= 0 {
-		chain := ctypes.ChainFor(proto.Params[injected])
-		sat = ctypes.SatisfiedLevel(env, proto, injected, args, chain)
+	var out ProbeResult
+	if len(inj) == 1 {
+		out.Param, out.Probe = inj[0].param, inj[0].probe.Name
+		if i := inj[0].param; i >= 0 {
+			out.SatLevel = ctypes.SatisfiedLevel(env, proto, i, args, ctypes.ChainFor(proto.Params[i]))
+		}
 	}
-	snaps := snapshotReadOnlyArgs(env, proto, args, injected)
+	snaps := snapshotReadOnlyArgs(env, proto, args, inj)
 
 	env.Errno = 0
 	env.Img.Space.SetFuel(probeFuel)
 	_, res := p.RunCall(proto.Name, args...)
 	env.Img.Space.SetFuel(-1)
 
-	out := ProbeResult{Param: injected, Probe: probe.Name, SatLevel: sat}
-	switch {
-	case res.Fault != nil && res.Fault.Kind == cmem.FaultHang:
-		out.Outcome, out.Fault = OutcomeHang, res.Fault
-	case res.Fault != nil && res.Fault.Kind == cmem.FaultAbort:
-		out.Outcome, out.Fault = OutcomeAbort, res.Fault
-	case res.Fault != nil:
-		out.Outcome, out.Fault = OutcomeCrash, res.Fault
+	switch o, faulted := faultOutcome(res.Fault); {
+	case faulted:
+		out.Outcome, out.Fault = o, res.Fault
 	case env.Errno == DeniedErrno:
 		out.Outcome = OutcomeDenied
 	case corruptedReadOnlyArg(env, snaps):
@@ -367,10 +366,36 @@ func (c *Campaign) runProbe(proto *ctypes.Prototype, injected int, probe Probe) 
 		out.Outcome = OutcomeOK
 	}
 	// abort() aborting is its contract, not a robustness failure.
-	if injected < 0 && proto.Name == "abort" && out.Outcome == OutcomeAbort {
+	if len(proto.Params) == 0 && proto.Name == "abort" && out.Outcome == OutcomeAbort {
 		out.Outcome, out.Fault = OutcomeOK, nil
 	}
 	return out, nil
+}
+
+// injectedAt returns the spec of inj that injects parameter i, if any.
+func injectedAt(inj []probeSpec, i int) (probeSpec, bool) {
+	for _, sp := range inj {
+		if sp.param == i {
+			return sp, true
+		}
+	}
+	return probeSpec{}, false
+}
+
+// faultOutcome classifies the fault that ended a probe call or a
+// sequence run — a hang, an abort, or (any other kind) a crash — and
+// reports false when there was none.
+func faultOutcome(f *cmem.Fault) (Outcome, bool) {
+	switch {
+	case f == nil:
+		return OutcomeOK, false
+	case f.Kind == cmem.FaultHang:
+		return OutcomeHang, true
+	case f.Kind == cmem.FaultAbort:
+		return OutcomeAbort, true
+	default:
+		return OutcomeCrash, true
+	}
 }
 
 // roSnapshot records the content of one read-only-role argument before a
@@ -385,12 +410,12 @@ type roSnapshot struct {
 const snapshotMax = 256
 
 // snapshotReadOnlyArgs captures the golden arguments the function
-// promises not to write (in_str and in_buf roles). The injected
-// parameter is skipped — its value is deliberately invalid.
-func snapshotReadOnlyArgs(env *cval.Env, proto *ctypes.Prototype, args []cval.Value, injected int) []roSnapshot {
+// promises not to write (in_str and in_buf roles). Injected parameters
+// are skipped — their values are deliberately invalid.
+func snapshotReadOnlyArgs(env *cval.Env, proto *ctypes.Prototype, args []cval.Value, inj []probeSpec) []roSnapshot {
 	var snaps []roSnapshot
 	for i, prm := range proto.Params {
-		if i == injected || i >= len(args) {
+		if _, injected := injectedAt(inj, i); injected || i >= len(args) {
 			continue
 		}
 		if prm.Role != ctypes.RoleInStr && prm.Role != ctypes.RoleInBuf {
@@ -430,8 +455,9 @@ func corruptedReadOnlyArg(env *cval.Env, snaps []roSnapshot) bool {
 	return false
 }
 
-// probeSpec is one planned probe call: the injected parameter index (-1
-// for the niladic plain-call probe) and the probe value.
+// probeSpec is one injected (parameter, probe) pair. A single-fault plan
+// lists one per probe call; the niladic plain call's spec has param -1
+// and injects nothing.
 type probeSpec struct {
 	param int
 	probe Probe
@@ -531,11 +557,11 @@ func (c *Campaign) sweepFunction(fp *funcPlan, config, key string, beforeProbe f
 	}
 	results := make([]ProbeResult, 0, len(fp.specs))
 	start := time.Now()
-	for _, sp := range fp.specs {
+	for k := range fp.specs {
 		if beforeProbe != nil {
 			beforeProbe()
 		}
-		r, err := c.runProbe(fp.proto, sp.param, sp.probe)
+		r, err := c.runProbe(fp.proto, fp.specs[k:k+1])
 		if err != nil {
 			return nil, false, 0, err
 		}

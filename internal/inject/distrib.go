@@ -576,21 +576,3 @@ func (co *Coordinator) Drain(timeout time.Duration) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
-
-// RunCoordinator is the one-call distributed sweep driver: serve on
-// addr, wait for workers to finish the sweep, drain so they exit
-// cleanly, close, and return the merged report. Callers needing the
-// listen address before blocking (to spawn workers against an ephemeral
-// port) use the Serve/Wait pair directly.
-func (c *Campaign) RunCoordinator(addr string, nshards int, opts ...CoordOption) (*LibReport, *CampaignStats, error) {
-	co := NewCoordinator(c, nshards, opts...)
-	if err := co.Serve(addr); err != nil {
-		return nil, nil, err
-	}
-	defer co.Close()
-	lr, stats, err := co.Wait()
-	if err == nil {
-		co.Drain(2 * time.Second)
-	}
-	return lr, stats, err
-}

@@ -7,8 +7,6 @@ import (
 
 	"healers/internal/cmem"
 	"healers/internal/ctypes"
-	"healers/internal/cval"
-	"healers/internal/proc"
 )
 
 // Pairwise campaigns inject two parameters at once while the rest stay
@@ -80,11 +78,14 @@ func (c *Campaign) RunFunctionPairwise(name string) (*PairReport, error) {
 		for j := i + 1; j < n; j++ {
 			for _, pi := range probes[i] {
 				for _, pj := range probes[j] {
-					r, err := c.runPairProbe(proto, i, pi, j, pj)
+					r, err := c.runProbe(proto, []probeSpec{{param: i, probe: pi}, {param: j, probe: pj}})
 					if err != nil {
 						return nil, err
 					}
-					report.Results = append(report.Results, r)
+					report.Results = append(report.Results, PairResult{
+						ParamA: i, ParamB: j, ProbeA: pi.Name, ProbeB: pj.Name,
+						Outcome: r.Outcome, Fault: r.Fault,
+					})
 					report.Probes++
 					if r.Outcome.Failure() {
 						report.Failures++
@@ -158,57 +159,6 @@ func pairReportFromFunc(proto *ctypes.Prototype, fr *FuncReport) (*PairReport, e
 		})
 	}
 	return pr, nil
-}
-
-// runPairProbe executes one two-parameter injection in a fresh process.
-func (c *Campaign) runPairProbe(proto *ctypes.Prototype, i int, pi Probe, j int, pj Probe) (PairResult, error) {
-	opts := []proc.Option{proc.WithPreloads(c.preloads...)}
-	if c.stdin != "" {
-		opts = append(opts, proc.WithStdin(c.stdin))
-	}
-	p, err := proc.Start(c.sys, c.hostname, opts...)
-	if err != nil {
-		return PairResult{}, fmt.Errorf("inject: starting probe host: %w", err)
-	}
-	env := p.Env()
-	if err := prepareProbeRegions(env); err != nil {
-		return PairResult{}, err
-	}
-	args := make([]cval.Value, len(proto.Params))
-	for k, prm := range proto.Params {
-		pr := GoldenProbe(prm)
-		switch k {
-		case i:
-			pr = pi
-		case j:
-			pr = pj
-		}
-		v, err := pr.Make(env)
-		if err != nil {
-			return PairResult{}, fmt.Errorf("inject: %s pair (%d,%d): %w", proto.Name, i, j, err)
-		}
-		args[k] = v
-	}
-	env.Errno = 0
-	env.Img.Space.SetFuel(probeFuel)
-	_, res := p.RunCall(proto.Name, args...)
-	env.Img.Space.SetFuel(-1)
-	out := PairResult{ParamA: i, ParamB: j, ProbeA: pi.Name, ProbeB: pj.Name}
-	switch {
-	case res.Fault != nil && res.Fault.Kind == cmem.FaultHang:
-		out.Outcome, out.Fault = OutcomeHang, res.Fault
-	case res.Fault != nil && res.Fault.Kind == cmem.FaultAbort:
-		out.Outcome, out.Fault = OutcomeAbort, res.Fault
-	case res.Fault != nil:
-		out.Outcome, out.Fault = OutcomeCrash, res.Fault
-	case env.Errno == DeniedErrno:
-		out.Outcome = OutcomeDenied
-	case env.Errno != 0:
-		out.Outcome = OutcomeErrno
-	default:
-		out.Outcome = OutcomeOK
-	}
-	return out, nil
 }
 
 // CompareModes runs both sweep modes for one function and reports their

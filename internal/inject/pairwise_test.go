@@ -1,6 +1,13 @@
 package inject
 
-import "testing"
+import (
+	"testing"
+
+	"healers/internal/cheader"
+	"healers/internal/cmem"
+	"healers/internal/cval"
+	"healers/internal/simelf"
+)
 
 func TestPairwiseFindsAtLeastSingleFaultFailures(t *testing.T) {
 	c := newLibcCampaign(t)
@@ -72,5 +79,54 @@ func TestPairwiseInteractionCoverage(t *testing.T) {
 	}
 	if !sawInteraction {
 		t.Error("pairwise sweep found no two-parameter interaction failures")
+	}
+}
+
+// TestPairwiseSilentCorruption: pairwise probes share the single-fault
+// classifier, so a call that writes through a golden read-only argument
+// while two other parameters are injected is classified corrupt.
+func TestPairwiseSilentCorruption(t *testing.T) {
+	sys := simelf.NewSystem()
+	lib := simelf.NewLibrary("libsmear.so")
+	proto, err := cheader.ParsePrototype("int smear(int a, const char *src, int b); // @src in_str")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The bug: smear increments the first byte of its const source,
+	// whatever a and b are.
+	lib.ExportWithProto(proto, func(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
+		src := args[1].Addr()
+		b, f := env.Img.Space.ReadByteAt(src)
+		if f != nil {
+			return 0, f
+		}
+		if f := env.Img.Space.WriteByteAt(src, b+1); f != nil {
+			return 0, f
+		}
+		return cval.Int(0), nil
+	})
+	if err := sys.AddLibrary(lib); err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(sys, "libsmear.so")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := c.RunFunctionPairwise("smear")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := 0
+	for _, r := range pr.Results {
+		if r.ParamA != 0 || r.ParamB != 2 {
+			continue
+		}
+		pairs++
+		if r.Outcome != OutcomeCorrupt {
+			t.Errorf("pair (a=%s, b=%s) classified %v, want %v", r.ProbeA, r.ProbeB, r.Outcome, OutcomeCorrupt)
+		}
+	}
+	if pairs == 0 {
+		t.Fatalf("no (a, b) pair probed; results: %+v", pr.Results)
 	}
 }

@@ -179,9 +179,8 @@ func (c *Campaign) RunLibrary() (*LibReport, error) {
 			}
 			t := tasks[idx]
 			fp := &plan.funcs[t.fn]
-			sp := fp.specs[t.sp]
 			t0 := time.Now()
-			r, err := c.runProbe(fp.proto, sp.param, sp.probe)
+			r, err := c.runProbe(fp.proto, fp.specs[t.sp:t.sp+1])
 			d := time.Since(t0)
 			stats.WorkerBusy[worker] += d
 			if err == nil {

@@ -51,12 +51,6 @@ type RegistryCacheStats struct {
 // RegistryCacheOption configures a RegistryCache.
 type RegistryCacheOption func(*RegistryCache)
 
-// WithRegistryID overrides the client identity reported to the registry
-// (default hostname-pid).
-func WithRegistryID(id string) RegistryCacheOption {
-	return func(rc *RegistryCache) { rc.id = id }
-}
-
 // WithRegistryClients substitutes the wire clients — one for the
 // synchronous fetch path, one owned by the asynchronous push drainer
 // (collect.Client is single-goroutine, so the two paths must not share

@@ -292,13 +292,9 @@ func (sc *SequenceCampaign) runScript(report *SequenceReport, steps []SeqStep) (
 		Diverged: env.Img.Space.JournalDiffDigest() != report.GoldenDigest,
 		Fault:    res.Fault,
 	}
-	switch {
-	case res.Fault != nil && res.Fault.Kind == cmem.FaultHang:
-		run.Outcome = OutcomeHang
-	case res.Fault != nil && res.Fault.Kind == cmem.FaultAbort:
-		run.Outcome = OutcomeAbort
-	case res.Fault != nil:
-		run.Outcome = OutcomeCrash
+	switch o, faulted := faultOutcome(res.Fault); {
+	case faulted:
+		run.Outcome = o
 	case res.Status != 0:
 		run.Outcome = OutcomeErrno
 	case run.Diverged:

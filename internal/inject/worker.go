@@ -53,17 +53,6 @@ func WithWorkerRegistry(rc *RegistryCache) WorkerOption {
 	return func(w *worker) { w.registry = rc }
 }
 
-// WithWorkerHeartbeat sets the mid-function heartbeat interval.
-func WithWorkerHeartbeat(d time.Duration) WorkerOption {
-	return func(w *worker) { w.heartbeat = d }
-}
-
-// WithWorkerClient substitutes the wire client (tests shrink its
-// timeouts).
-func WithWorkerClient(c *collect.Client) WorkerOption {
-	return func(w *worker) { w.cl = c }
-}
-
 type worker struct {
 	id        string
 	sys       *simelf.System
@@ -101,10 +90,8 @@ func RunWorker(sys *simelf.System, addr string, opts ...WorkerOption) (*WorkerSu
 	for _, o := range opts {
 		o(w)
 	}
-	if w.cl == nil {
-		w.cl = collect.NewClient(addr)
-		w.cl.RetryMax = 4
-	}
+	w.cl = collect.NewClient(addr)
+	w.cl.RetryMax = 4
 	defer w.cl.Close()
 	w.sum.Worker = w.id
 

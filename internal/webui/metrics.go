@@ -97,12 +97,15 @@ func MetricsHandlerFor(src MetricsSources) http.Handler {
 	})
 }
 
-// promLabel escapes a Prometheus label value.
-func promLabel(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, `"`, `\"`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
+// labelEscaper applies the text exposition format's only three label
+// escapes; every other byte of a valid UTF-8 value, tabs and
+// non-printable runes included, is taken literally by the format.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// promLabel renders a label value, quotes included. Every label value
+// goes through it: Go's %q escapes (\t, \u00ad, doubled backslashes)
+// are not valid in the format and fail the whole scrape.
+func promLabel(s string) string { return `"` + labelEscaper.Replace(s) + `"` }
 
 // sortedFuncs returns the aggregate's function names in stable order.
 func sortedFuncs(agg *collect.FleetAggregate) []string {
@@ -121,7 +124,7 @@ func writeProfileMetrics(b *strings.Builder, col *collect.Server) {
 	b.WriteString("# HELP healers_calls_total Calls intercepted per wrapped function, fleet-wide.\n")
 	b.WriteString("# TYPE healers_calls_total counter\n")
 	for _, fn := range names {
-		fmt.Fprintf(b, "healers_calls_total{function=%q} %d\n", promLabel(fn), agg.Funcs[fn].Calls)
+		fmt.Fprintf(b, "healers_calls_total{function=%s} %d\n", promLabel(fn), agg.Funcs[fn].Calls)
 	}
 
 	b.WriteString("# HELP healers_latency_ns Per-call wall time of wrapped functions, log2-bucketed at capture.\n")
@@ -141,12 +144,12 @@ func writeProfileMetrics(b *strings.Builder, col *collect.Server) {
 			if c == 0 || i == gen.HistBuckets-1 {
 				continue
 			}
-			fmt.Fprintf(b, "healers_latency_ns_bucket{function=%q,le=\"%d\"} %d\n", promLabel(fn), gen.HistUpperNS(i), cum)
+			fmt.Fprintf(b, "healers_latency_ns_bucket{function=%s,le=\"%d\"} %d\n", promLabel(fn), gen.HistUpperNS(i), cum)
 		}
 		total := gen.HistTotal(fa.Hist)
-		fmt.Fprintf(b, "healers_latency_ns_bucket{function=%q,le=\"+Inf\"} %d\n", promLabel(fn), total)
-		fmt.Fprintf(b, "healers_latency_ns_sum{function=%q} %d\n", promLabel(fn), fa.ExecNS)
-		fmt.Fprintf(b, "healers_latency_ns_count{function=%q} %d\n", promLabel(fn), total)
+		fmt.Fprintf(b, "healers_latency_ns_bucket{function=%s,le=\"+Inf\"} %d\n", promLabel(fn), total)
+		fmt.Fprintf(b, "healers_latency_ns_sum{function=%s} %d\n", promLabel(fn), fa.ExecNS)
+		fmt.Fprintf(b, "healers_latency_ns_count{function=%s} %d\n", promLabel(fn), total)
 	}
 
 	b.WriteString("# HELP healers_errno_total Calls that set errno, per function and errno name.\n")
@@ -159,7 +162,7 @@ func writeProfileMetrics(b *strings.Builder, col *collect.Server) {
 		}
 		sort.Strings(errnos)
 		for _, e := range errnos {
-			fmt.Fprintf(b, "healers_errno_total{function=%q,errno=%q} %d\n", promLabel(fn), promLabel(e), fa.Errnos[e])
+			fmt.Fprintf(b, "healers_errno_total{function=%s,errno=%s} %d\n", promLabel(fn), promLabel(e), fa.Errnos[e])
 		}
 	}
 
@@ -174,7 +177,7 @@ func writeProfileMetrics(b *strings.Builder, col *collect.Server) {
 			if oc.count == 0 {
 				continue
 			}
-			fmt.Fprintf(b, "healers_check_outcome_total{function=%q,outcome=%q} %d\n", promLabel(fn), oc.name, oc.count)
+			fmt.Fprintf(b, "healers_check_outcome_total{function=%s,outcome=%s} %d\n", promLabel(fn), promLabel(oc.name), oc.count)
 		}
 	}
 
@@ -189,7 +192,7 @@ func writeProfileMetrics(b *strings.Builder, col *collect.Server) {
 			if ev.count == 0 {
 				continue
 			}
-			fmt.Fprintf(b, "healers_containment_total{function=%q,event=%q} %d\n", promLabel(fn), ev.name, ev.count)
+			fmt.Fprintf(b, "healers_containment_total{function=%s,event=%s} %d\n", promLabel(fn), promLabel(ev.name), ev.count)
 		}
 	}
 
@@ -201,8 +204,8 @@ func writeProfileMetrics(b *strings.Builder, col *collect.Server) {
 			if count == 0 {
 				continue
 			}
-			fmt.Fprintf(b, "healers_containment_class_total{function=%q,class=%q} %d\n",
-				promLabel(fn), gen.FailureClass(c).String(), count)
+			fmt.Fprintf(b, "healers_containment_class_total{function=%s,class=%s} %d\n",
+				promLabel(fn), promLabel(gen.FailureClass(c).String()), count)
 		}
 	}
 
@@ -214,7 +217,7 @@ func writeProfileMetrics(b *strings.Builder, col *collect.Server) {
 	}
 	sort.Strings(classes)
 	for _, class := range classes {
-		fmt.Fprintf(b, "healers_outcome_total{class=%q} %d\n", class, agg.Outcomes[class])
+		fmt.Fprintf(b, "healers_outcome_total{class=%s} %d\n", promLabel(class), agg.Outcomes[class])
 	}
 
 	b.WriteString("# HELP healers_overflows_total Canary and bound violations detected fleet-wide.\n")
@@ -257,22 +260,22 @@ func writeCoordinatorMetrics(b *strings.Builder, co *inject.Coordinator) {
 		name  string
 		count int
 	}{{"pending", shards.Pending}, {"leased", shards.Leased}, {"done", shards.Done}} {
-		fmt.Fprintf(b, "healers_coordinator_shards{state=%q} %d\n", st.name, st.count)
+		fmt.Fprintf(b, "healers_coordinator_shards{state=%s} %d\n", promLabel(st.name), st.count)
 	}
 	fmt.Fprintf(b, "# HELP healers_coordinator_releases_total Shards re-leased after a lease timeout.\n# TYPE healers_coordinator_releases_total counter\nhealers_coordinator_releases_total %d\n", shards.Releases)
 	fmt.Fprintf(b, "# HELP healers_coordinator_stragglers_total Speculative duplicate leases past the straggler deadline.\n# TYPE healers_coordinator_stragglers_total counter\nhealers_coordinator_stragglers_total %d\n", shards.Stragglers)
 
 	b.WriteString("# HELP healers_coordinator_worker_funcs_total Accepted function results per worker.\n# TYPE healers_coordinator_worker_funcs_total counter\n")
 	for _, ws := range workers {
-		fmt.Fprintf(b, "healers_coordinator_worker_funcs_total{worker=%q} %d\n", promLabel(ws.Name), ws.Funcs)
+		fmt.Fprintf(b, "healers_coordinator_worker_funcs_total{worker=%s} %d\n", promLabel(ws.Name), ws.Funcs)
 	}
 	b.WriteString("# HELP healers_coordinator_worker_probes_total Probes behind each worker's accepted results.\n# TYPE healers_coordinator_worker_probes_total counter\n")
 	for _, ws := range workers {
-		fmt.Fprintf(b, "healers_coordinator_worker_probes_total{worker=%q} %d\n", promLabel(ws.Name), ws.Probes)
+		fmt.Fprintf(b, "healers_coordinator_worker_probes_total{worker=%s} %d\n", promLabel(ws.Name), ws.Probes)
 	}
 	b.WriteString("# HELP healers_coordinator_worker_busy_seconds_total Worker-reported probing wall time.\n# TYPE healers_coordinator_worker_busy_seconds_total counter\n")
 	for _, ws := range workers {
-		fmt.Fprintf(b, "healers_coordinator_worker_busy_seconds_total{worker=%q} %g\n", promLabel(ws.Name), ws.Busy.Seconds())
+		fmt.Fprintf(b, "healers_coordinator_worker_busy_seconds_total{worker=%s} %g\n", promLabel(ws.Name), ws.Busy.Seconds())
 	}
 }
 
@@ -327,15 +330,15 @@ func writePolicyEngineMetrics(b *strings.Builder, engines map[string]*wrappers.P
 	sort.Strings(names)
 	b.WriteString("# HELP healers_policy_revision Policy revision each engine currently runs.\n# TYPE healers_policy_revision gauge\n")
 	for _, n := range names {
-		fmt.Fprintf(b, "healers_policy_revision{engine=%q} %d\n", promLabel(n), engines[n].Revision())
+		fmt.Fprintf(b, "healers_policy_revision{engine=%s} %d\n", promLabel(n), engines[n].Revision())
 	}
 	b.WriteString("# HELP healers_policy_reloads_total Rule-set hot swaps each engine has applied.\n# TYPE healers_policy_reloads_total counter\n")
 	for _, n := range names {
-		fmt.Fprintf(b, "healers_policy_reloads_total{engine=%q} %d\n", promLabel(n), engines[n].Reloads())
+		fmt.Fprintf(b, "healers_policy_reloads_total{engine=%s} %d\n", promLabel(n), engines[n].Reloads())
 	}
 	b.WriteString("# HELP healers_policy_reload_rejected_total Reload attempts each engine refused, old rules kept.\n# TYPE healers_policy_reload_rejected_total counter\n")
 	for _, n := range names {
-		fmt.Fprintf(b, "healers_policy_reload_rejected_total{engine=%q} %d\n", promLabel(n), engines[n].RejectedReloads())
+		fmt.Fprintf(b, "healers_policy_reload_rejected_total{engine=%s} %d\n", promLabel(n), engines[n].RejectedReloads())
 	}
 }
 

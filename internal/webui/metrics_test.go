@@ -2,6 +2,7 @@ package webui
 
 import (
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -137,6 +138,49 @@ func TestMetricsOutcomeFamily(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
+		}
+	}
+}
+
+// TestMetricsLabelEscaping: label values taken from uploaded documents
+// are rendered with exactly the exposition format's three escapes.
+// Backslash, quote and newline are escaped once; a tab and a
+// non-printable rune (U+00AD) pass through literally, because the
+// format rejects Go's \t and \u00ad escapes and one such series fails
+// the whole scrape.
+func TestMetricsLabelEscaping(t *testing.T) {
+	col, err := collect.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+
+	st := gen.NewState("libhealers_prof.so")
+	for _, fn := range []string{"a\tb", "soft\u00adhyphen", `back\slash`, `q"uote`, "new\nline"} {
+		st.CallCount[st.Index(fn)] = 1
+	}
+	seq := &xmlrep.SequenceReportDoc{
+		Scenario: "s",
+		App:      "textutil",
+		Calls:    1,
+		Runs:     []xmlrep.SeqRunXML{{Outcome: "odd\tclass \"x\"\u00ad"}},
+	}
+	seq.Stamp()
+	uploadAndSettle(t, col, xmlrep.NewProfileLog("h", "app", st), seq)
+
+	rec := httptest.NewRecorder()
+	MetricsHandlerFor(MetricsSources{Collector: col}).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	lines := strings.Split(rec.Body.String(), "\n")
+	for _, want := range []string{
+		"healers_calls_total{function=\"a\tb\"} 1",
+		"healers_calls_total{function=\"back\\\\slash\"} 1",
+		"healers_calls_total{function=\"new\\nline\"} 1",
+		"healers_calls_total{function=\"q\\\"uote\"} 1",
+		"healers_calls_total{function=\"soft\u00adhyphen\"} 1",
+		"healers_outcome_total{class=\"odd\tclass \\\"x\\\"\u00ad\"} 1",
+	} {
+		if !slices.Contains(lines, want) {
+			t.Errorf("metrics missing line %q:\n%s", want, rec.Body.String())
 		}
 	}
 }

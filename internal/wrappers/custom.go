@@ -19,10 +19,6 @@ import (
 // The prototype and caller micro-generators are always included (first
 // and last). api is consulted only by arg_check and may be nil otherwise.
 func Custom(target *simelf.Library, soname string, features []string, api ctypes.RobustAPI, names []string) (*simelf.Library, *gen.State, error) {
-	protos, err := protosOf(target, names)
-	if err != nil {
-		return nil, nil, err
-	}
 	micros := []gen.MicroGenerator{gen.MGPrototype()}
 	for _, f := range features {
 		m, err := microByName(f, api)
@@ -36,8 +32,7 @@ func Custom(target *simelf.Library, soname string, features []string, api ctypes
 	if err != nil {
 		return nil, nil, err
 	}
-	st := gen.NewState(soname)
-	return g.BuildLibrary(soname, protos, st), st, nil
+	return build(g, target, soname, names, nil)
 }
 
 // FeatureNames lists the micro-generator features Custom accepts.

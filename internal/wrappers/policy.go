@@ -213,10 +213,6 @@ func (e *PolicyEngine) Reloads() uint64 { return e.reloads.Load() }
 // previous rules in force.
 func (e *PolicyEngine) RejectedReloads() uint64 { return e.rejected.Load() }
 
-// Breaker returns the engine-level breaker configuration of the current
-// rule set.
-func (e *PolicyEngine) Breaker() BreakerConfig { return e.live.Load().breaker }
-
 // ApplyDoc hot-swaps the engine's rule set to a stamped policy document.
 // The document must validate (see xmlrep.PolicyDoc.Validate), must carry
 // a checksum (an unstamped document cannot prove its integrity), and its

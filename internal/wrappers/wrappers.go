@@ -50,33 +50,42 @@ func protosOf(target *simelf.Library, names []string) ([]*ctypes.Prototype, erro
 	return protos, nil
 }
 
-// Robustness builds the robustness wrapper for the given functions of
-// target, enforcing the supplied robust API. names == nil wraps the whole
-// library.
-func Robustness(target *simelf.Library, api ctypes.RobustAPI, names []string) (*simelf.Library, *gen.State, error) {
+// build is the protos → State → library step every wrapper builder
+// shares: it wraps the named functions of target (names == nil wraps
+// every exported symbol with a prototype) with g into the library
+// soname, exporting subst's bounded substitutes in place of the
+// composition where subst names a function.
+func build(g *gen.Generator, target *simelf.Library, soname string, names []string, subst map[string]gen.Subst) (*simelf.Library, *gen.State, error) {
 	protos, err := protosOf(target, names)
 	if err != nil {
 		return nil, nil, err
 	}
-	g := gen.MustGenerator(
+	st := gen.NewState(soname)
+	return g.BuildLibrarySubst(soname, protos, st, subst), st, nil
+}
+
+// RobustnessGenerator is the robustness composition: calls whose
+// arguments violate api are denied before they reach the original.
+func RobustnessGenerator(api ctypes.RobustAPI) *gen.Generator {
+	return gen.MustGenerator(
 		gen.MGPrototype(),
 		gen.MGCallCounter(),
 		gen.MGArgCheck(api),
 		gen.MGCaller(),
 	)
-	st := gen.NewState(RobustnessSoname)
-	return g.BuildLibrarySubst(RobustnessSoname, protos, st, boundedSubstitutions()), st, nil
 }
 
-// Security builds the security wrapper: canary-based heap-smash detection
-// on every intercepted call, computable-bound overflow prevention, and
-// format-string rejection. names == nil wraps the whole library.
-func Security(target *simelf.Library, names []string) (*simelf.Library, *gen.State, error) {
-	protos, err := protosOf(target, names)
-	if err != nil {
-		return nil, nil, err
-	}
-	g := gen.MustGenerator(
+// Robustness builds the robustness wrapper for the given functions of
+// target, enforcing the supplied robust API. names == nil wraps the whole
+// library.
+func Robustness(target *simelf.Library, api ctypes.RobustAPI, names []string) (*simelf.Library, *gen.State, error) {
+	return build(RobustnessGenerator(api), target, RobustnessSoname, names, boundedSubstitutions())
+}
+
+// SecurityGenerator is the security composition: heap-smash detection,
+// computable-bound overflow prevention, and format-string rejection.
+func SecurityGenerator() *gen.Generator {
+	return gen.MustGenerator(
 		gen.MGPrototype(),
 		gen.MGCallCounter(),
 		gen.MGHeapCheck(),
@@ -84,8 +93,13 @@ func Security(target *simelf.Library, names []string) (*simelf.Library, *gen.Sta
 		gen.MGFmtCheck(),
 		gen.MGCaller(),
 	)
-	st := gen.NewState(SecuritySoname)
-	return g.BuildLibrary(SecuritySoname, protos, st), st, nil
+}
+
+// Security builds the security wrapper: canary-based heap-smash detection
+// on every intercepted call, computable-bound overflow prevention, and
+// format-string rejection. names == nil wraps the whole library.
+func Security(target *simelf.Library, names []string) (*simelf.Library, *gen.State, error) {
+	return build(SecurityGenerator(), target, SecuritySoname, names, nil)
 }
 
 // DefaultTraceDepth is the call-trace ring capacity of the profiling
@@ -99,10 +113,6 @@ const DefaultTraceDepth = 256
 // histograms, and a bounded ring of recent call traces
 // (DefaultTraceDepth entries). names == nil wraps the whole library.
 func Profiling(target *simelf.Library, names []string) (*simelf.Library, *gen.State, error) {
-	protos, err := protosOf(target, names)
-	if err != nil {
-		return nil, nil, err
-	}
 	g := gen.MustGenerator(
 		gen.MGPrototype(),
 		// Declared right after the prototype so its postfix runs last:
@@ -117,66 +127,13 @@ func Profiling(target *simelf.Library, names []string) (*simelf.Library, *gen.St
 		gen.MGCallCounter(),
 		gen.MGCaller(),
 	)
-	st := gen.NewState(ProfilingSoname)
-	return g.BuildLibrary(ProfilingSoname, protos, st), st, nil
+	return build(g, target, ProfilingSoname, names, nil)
 }
 
-// containmentMicros is the containment wrapper's composition. The
-// watchdog and containment micro-generators sit last before the caller
-// so their postfixes run first: the caught fault is rolled back and
-// virtualized before any observing micro-generator sees the call. An
-// optional robust API adds argument checking in front — deny-before-call
-// and contain-after-call compose.
-func containmentMicros(api ctypes.RobustAPI, policy gen.ContainPolicy) []gen.MicroGenerator {
-	micros := []gen.MicroGenerator{
-		gen.MGPrototype(),
-		gen.MGCallCounter(),
-		// Latency histograms: the exectime postfix runs *after*
-		// containment's (reverse order), so a contained call's sample
-		// includes its rollback and retries — the latency the caller
-		// actually saw, which is what the chaos soak quantiles report.
-		gen.MGExectime(),
-	}
-	if api != nil {
-		micros = append(micros, gen.MGArgCheck(api))
-	}
-	return append(micros,
-		gen.MGWatchdog(0),
-		gen.MGContain(policy),
-		gen.MGCaller(),
-	)
-}
-
-// Containment builds the fault-containment wrapper: every intercepted
-// call runs under a write journal and a per-call access budget; a fault
-// in the original function is rolled back and virtualized into an errno
-// return as the recovery policy directs (deny, retry, substitute, or
-// escalate), with a circuit breaker flipping repeatedly failing
-// functions to always-deny. policy == nil installs DefaultPolicy();
-// api != nil additionally vetoes calls violating the robust API before
-// they run. names == nil wraps the whole library.
-func Containment(target *simelf.Library, api ctypes.RobustAPI, policy gen.ContainPolicy, names []string) (*simelf.Library, *gen.State, error) {
-	protos, err := protosOf(target, names)
-	if err != nil {
-		return nil, nil, err
-	}
-	if policy == nil {
-		policy = DefaultPolicy()
-	}
-	g := gen.MustGenerator(containmentMicros(api, policy)...)
-	st := gen.NewState(ContainmentSoname)
-	return g.BuildLibrary(ContainmentSoname, protos, st), st, nil
-}
-
-// ContainmentGenerator exposes the containment composition for source
-// rendering.
-func ContainmentGenerator(api ctypes.RobustAPI, policy gen.ContainPolicy) *gen.Generator {
-	return gen.MustGenerator(containmentMicros(api, policy)...)
-}
-
-// ProfilingGenerator exposes the paper-faithful profiling micro-generator
-// composition — the exact stack of the paper's Figure 3 wctrans listing,
-// without the trace ring (used for rendering the Figure 3 source).
+// ProfilingGenerator is the paper-faithful profiling composition — the
+// exact stack of the paper's Figure 3 wctrans listing. It is the one
+// rendering-only composition: it lacks Profiling's trace ring, so the
+// rendered source matches the figure.
 func ProfilingGenerator() *gen.Generator {
 	return gen.MustGenerator(
 		gen.MGPrototype(),
@@ -191,28 +148,45 @@ func ProfilingGenerator() *gen.Generator {
 	)
 }
 
-// RobustnessGenerator exposes the robustness composition for source
-// rendering.
-func RobustnessGenerator(api ctypes.RobustAPI) *gen.Generator {
-	return gen.MustGenerator(
+// ContainmentGenerator is the containment composition. The watchdog and
+// containment micro-generators sit last before the caller so their
+// postfixes run first: the caught fault is rolled back and virtualized
+// before any observing micro-generator sees the call. An optional robust
+// API adds argument checking in front — deny-before-call and
+// contain-after-call compose.
+func ContainmentGenerator(api ctypes.RobustAPI, policy gen.ContainPolicy) *gen.Generator {
+	micros := []gen.MicroGenerator{
 		gen.MGPrototype(),
 		gen.MGCallCounter(),
-		gen.MGArgCheck(api),
+		// Latency histograms: the exectime postfix runs *after*
+		// containment's (reverse order), so a contained call's sample
+		// includes its rollback and retries — the latency the caller
+		// actually saw, which is what the chaos soak quantiles report.
+		gen.MGExectime(),
+	}
+	if api != nil {
+		micros = append(micros, gen.MGArgCheck(api))
+	}
+	return gen.MustGenerator(append(micros,
+		gen.MGWatchdog(0),
+		gen.MGContain(policy),
 		gen.MGCaller(),
-	)
+	)...)
 }
 
-// SecurityGenerator exposes the security composition for source
-// rendering.
-func SecurityGenerator() *gen.Generator {
-	return gen.MustGenerator(
-		gen.MGPrototype(),
-		gen.MGCallCounter(),
-		gen.MGHeapCheck(),
-		gen.MGBoundCheck(),
-		gen.MGFmtCheck(),
-		gen.MGCaller(),
-	)
+// Containment builds the fault-containment wrapper: every intercepted
+// call runs under a write journal and a per-call access budget; a fault
+// in the original function is rolled back and virtualized into an errno
+// return as the recovery policy directs (deny, retry, substitute, or
+// escalate), with a circuit breaker flipping repeatedly failing
+// functions to always-deny. policy == nil installs DefaultPolicy();
+// api != nil additionally vetoes calls violating the robust API before
+// they run. names == nil wraps the whole library.
+func Containment(target *simelf.Library, api ctypes.RobustAPI, policy gen.ContainPolicy, names []string) (*simelf.Library, *gen.State, error) {
+	if policy == nil {
+		policy = DefaultPolicy()
+	}
+	return build(ContainmentGenerator(api, policy), target, ContainmentSoname, names, nil)
 }
 
 // StrongestAPI builds a robust API that demands the strongest lattice

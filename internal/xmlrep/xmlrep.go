@@ -22,6 +22,8 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"time"
 	"unicode/utf8"
@@ -775,6 +777,32 @@ func Marshal(doc any) ([]byte, error) {
 		return nil, fmt.Errorf("xmlrep: marshal: %w", err)
 	}
 	return append([]byte(xml.Header), append(body, '\n')...), nil
+}
+
+// WriteFileAtomic replaces the file at path with data, giving it mode
+// perm. It writes a temporary file in path's directory and renames it
+// over path, so a concurrent reader, or a writer that dies mid-write,
+// leaves the old file or the new one, never a torn document; the
+// temporary file is removed when any step fails.
+func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(perm)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // MustMarshal is Marshal for documents that cannot fail to marshal — a

@@ -2,6 +2,8 @@ package xmlrep
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -316,5 +318,50 @@ func TestChecksumFieldBoundaries(t *testing.T) {
 		if Checksum(tc.a) == Checksum(tc.b) {
 			t.Errorf("%s: distinct documents share a checksum", tc.name)
 		}
+	}
+}
+
+// TestWriteFileAtomic: the writer replaces the target with the given
+// mode, and a failed replacement leaves the target untouched and no
+// temporary file behind.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "doc.xml")
+	for _, content := range []string{"first", "second"} {
+		if err := WriteFileAtomic(path, []byte(content), 0o640); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != content {
+			t.Errorf("file holds %q, want %q", got, content)
+		}
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o640 {
+		t.Errorf("stat = %v, %v; want mode 0640", fi, err)
+	}
+	// A directory in the target's place makes the rename fail.
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.Mkdir(blocked, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(blocked, "keep"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(blocked, []byte("x"), 0o644); err == nil {
+		t.Fatal("replacing a non-empty directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{"blocked", "doc.xml"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("directory holds %v after a failed write, want %v", names, want)
 	}
 }

@@ -1,13 +1,14 @@
 #!/bin/sh
 # Godoc coverage audit for the packages whose exported surface is the
-# toolkit's embedding API: every exported top-level identifier (func,
+# toolkit's embedding API or is re-exported by the healers facade
+# (inject, xmlrep, core): every exported top-level identifier (func,
 # method, type, and exported names in var/const blocks) in the listed
 # packages must carry a doc comment. Runs as part of `make docs`.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-packages="internal/wrappers internal/collect"
+packages="internal/wrappers internal/collect internal/inject internal/xmlrep internal/core"
 
 status=0
 for pkg in $packages; do
