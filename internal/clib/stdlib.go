@@ -405,10 +405,14 @@ func cQsort(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
 	}
 	// Insertion sort: quadratic but calls the comparator the way C does,
 	// and the injector only needs the memory behaviour to be authentic.
+	// Every comparator call gets the same argument array, refilled: a
+	// callee keeps no argument slice past its return.
+	cargs := make([]cval.Value, 2)
 	for i := uint32(1); i < nmemb; i++ {
 		j := i
 		for j > 0 {
-			r, f := env.CallIndirect(compar, []cval.Value{cval.Ptr(elem(j - 1)), cval.Ptr(elem(j))})
+			cargs[0], cargs[1] = cval.Ptr(elem(j-1)), cval.Ptr(elem(j))
+			r, f := env.CallIndirect(compar, cargs)
 			if f != nil {
 				return 0, f
 			}
@@ -431,10 +435,12 @@ func cBsearch(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
 	size := arg(args, 3).Uint32()
 	compar := arg(args, 4)
 	lo, hi := uint32(0), nmemb
+	cargs := make([]cval.Value, 2) // refilled for every comparator call, as in cQsort
 	for lo < hi {
 		mid := lo + (hi-lo)/2
 		p := base + cmem.Addr(mid*size)
-		r, f := env.CallIndirect(compar, []cval.Value{key, cval.Ptr(p)})
+		cargs[0], cargs[1] = key, cval.Ptr(p)
+		r, f := env.CallIndirect(compar, cargs)
 		if f != nil {
 			return 0, f
 		}

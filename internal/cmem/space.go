@@ -605,12 +605,18 @@ func (s *Space) WriteU64(a Addr, v uint64) *Fault {
 // scanCString walks the string at a up to and including its NUL, reading
 // at most max bytes, and appends the bytes before the NUL to out when out
 // is non-nil. It returns the string's length; found is false when the max
-// bytes held no NUL.
-func (s *Space) scanCString(a Addr, max uint32, out *strings.Builder) (n uint32, found bool, f *Fault) {
+// bytes held no NUL. When mapped is set, the walk also ends, with found
+// false, at the first page that is not readable: that page raises no fault
+// and costs no fuel.
+func (s *Space) scanCString(a Addr, max uint32, out *strings.Builder, mapped bool) (n uint32, found bool, f *Fault) {
 	for n < max {
 		at := a + Addr(n)
-		pg, f := s.lookup("read1", at, ProtRead)
-		if f != nil {
+		var pg *page
+		if mapped {
+			if pg = s.pageOf(at); pg == nil || pg.prot&ProtRead == 0 {
+				return n, false, nil
+			}
+		} else if pg, f = s.lookup("read1", at, ProtRead); f != nil {
 			return 0, false, f
 		}
 		l := spanLen(at, uint64(max-n))
@@ -654,7 +660,7 @@ func (s *Space) scanCString(a Addr, max uint32, out *strings.Builder) (n uint32,
 // the first unread byte, modelling a runaway strlen walking off a mapping.
 func (s *Space) ReadCString(a Addr, max uint32) (string, *Fault) {
 	var b strings.Builder
-	_, found, f := s.scanCString(a, max, &b)
+	_, found, f := s.scanCString(a, max, &b, false)
 	if f != nil {
 		return "", f
 	}
@@ -662,6 +668,31 @@ func (s *Space) ReadCString(a Addr, max uint32) (string, *Fault) {
 		return "", segv("readcstr", a+Addr(max), "no NUL within limit")
 	}
 	return b.String(), nil
+}
+
+// ReadMappedCString reads the NUL-terminated string at a, up to max bytes
+// (excluding the NUL), in one pass that stops at the first page that is
+// not readable. Such a page raises no fault and costs no fuel, and the
+// string is then not found, as when max bytes hold no NUL. The pass is
+// charged exactly what ReadCString(a, MappedLen(a, ProtRead, max))
+// charges, so the only fault it returns is an exhausted access budget.
+// It is how a check validates a string argument without faulting
+// (DESIGN.md §3).
+func (s *Space) ReadMappedCString(a Addr, max uint32) (str string, found bool, f *Fault) {
+	var b strings.Builder
+	if _, found, f = s.scanCString(a, max, &b, true); f != nil || !found {
+		return "", false, f
+	}
+	return b.String(), true, nil
+}
+
+// MappedCStrLen is ReadMappedCString that returns the string's length and
+// builds no string; the length is 0 when the string is not found.
+func (s *Space) MappedCStrLen(a Addr, max uint32) (n uint32, found bool, f *Fault) {
+	if n, found, f = s.scanCString(a, max, nil, true); f != nil || !found {
+		return 0, false, f
+	}
+	return n, true, nil
 }
 
 // WriteCString stores s followed by a NUL terminator at a.
@@ -677,7 +708,7 @@ func (sp *Space) WriteCString(a Addr, s string) *Fault {
 // holds no NUL, and a walk that finds none stops after math.MaxUint32
 // bytes.
 func (s *Space) CStrLen(a Addr) (uint32, *Fault) {
-	n, _, f := s.scanCString(a, math.MaxUint32, nil)
+	n, _, f := s.scanCString(a, math.MaxUint32, nil, false)
 	return n, f
 }
 

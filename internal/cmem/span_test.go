@@ -174,6 +174,35 @@ func (r *refSpace) ReadCString(a Addr, max uint32) (string, *Fault) {
 	return "", segv("readcstr", a+Addr(max), "no NUL within limit")
 }
 
+// mappedLen is MappedLen(a, ProtRead, max): how many bytes from a lie on
+// contiguous readable pages, capped at max.
+func (r *refSpace) mappedLen(a Addr, max uint32) uint32 {
+	var n uint32
+	for n < max {
+		pg := r.pages[(a+Addr(n))>>pageShift]
+		if pg == nil || pg.prot&ProtRead == 0 {
+			return n
+		}
+		n += min(PageSize-uint32(a+Addr(n))&pageMask, max-n)
+	}
+	return n
+}
+
+// readMappedCString is the reference for ReadMappedCString and
+// MappedCStrLen: ReadCString bounded by the readable span. The span holds
+// no unreadable byte, so the read either finds the NUL, runs out of fuel,
+// or reaches the bound, which is no string and no fault.
+func (r *refSpace) readMappedCString(a Addr, max uint32) (string, bool, *Fault) {
+	s, f := r.ReadCString(a, r.mappedLen(a, max))
+	switch {
+	case f == nil:
+		return s, true, nil
+	case f.Kind == FaultHang:
+		return "", false, f
+	}
+	return "", false, nil
+}
+
 // readWide and writeWide are ReadU16/32/64 and WriteU16/32/64: the
 // alignment check, then little-endian bytes through Read or Write.
 func (r *refSpace) readWide(a Addr, width int) (uint64, *Fault) {
@@ -351,7 +380,7 @@ func runSpanProgram(t *testing.T, data []byte) {
 	var frozen map[int]leaf
 	p := &spanProgram{data: data}
 	for step := 0; len(p.data) > 0 && step < 64; step++ {
-		op := p.u8() % 19
+		op := p.u8() % 20
 		var what string
 		var got, want any
 		var gf, wf *Fault
@@ -482,6 +511,26 @@ func runSpanProgram(t *testing.T, data []byte) {
 		case 18:
 			what = "Switch"
 			sp, sp2, ref, ref2 = sp2, sp, ref2, ref
+		case 19:
+			// Bit 0 picks the length-only form, bit 1 the 1 MiB bound
+			// a string check uses.
+			a, max, form := p.addr(), p.length(), p.u8()
+			if form&2 != 0 {
+				max = 1 << 20
+			}
+			ws, wfound, f := ref.readMappedCString(a, max)
+			wf = f
+			if form&1 != 0 {
+				what = fmt.Sprintf("MappedCStrLen(%s, %d)", a, max)
+				gn, gfound, f := sp.MappedCStrLen(a, max)
+				gf = f
+				got, want = [2]any{gn, gfound}, [2]any{uint32(len(ws)), wfound}
+			} else {
+				what = fmt.Sprintf("ReadMappedCString(%s, %d)", a, max)
+				gs, gfound, f := sp.ReadMappedCString(a, max)
+				gf = f
+				got, want = [2]any{gs, gfound}, [2]any{ws, wfound}
+			}
 		}
 		if !reflect.DeepEqual(gf, wf) {
 			t.Fatalf("step %d %s: fault %v, reference %v", step, what, gf, wf)
@@ -567,6 +616,19 @@ func opStrlen(base byte, off int16) []byte { return progOp(11, base, off) }
 
 func opReadString(base byte, off int16, max uint16) []byte {
 	return progOp(12, base, off, progU16(max)...)
+}
+
+// opMappedString encodes a ReadMappedCString (lenOnly false) or
+// MappedCStrLen call; wide replaces max with the 1 MiB bound.
+func opMappedString(base byte, off int16, max uint16, lenOnly, wide bool) []byte {
+	var form byte
+	if lenOnly {
+		form |= 1
+	}
+	if wide {
+		form |= 2
+	}
+	return progOp(19, base, off, append(progU16(max), form)...)
 }
 
 func opWrite64(base byte, off int16) []byte { return progOp(14, base, off, 2, 1, 2, 3, 4, 5, 6) }
@@ -691,6 +753,44 @@ var spanCases = []struct {
 		opFillPages(baseLow, 0x3000, 1, 0x22),
 		opRollback,
 		opRead(baseLow, 0, 4*PageSize),
+	)},
+	{"mapped-string", program(
+		opMap(baseLow, 0, 2*PageSize, ProtRW),
+		opMap(baseLow, 3*PageSize, PageSize, ProtRW),
+		opFill(baseLow, 0xf00, 0x1100, 'x'),
+		// The string runs into the unmapped page, then into an
+		// unreadable one: no NUL, no fault, no fuel for either page.
+		opMappedString(baseLow, 0xf00, 0, false, true),
+		opMappedString(baseLow, 0xf00, 0, true, true),
+		opProtect(baseLow, 0x1000, PageSize, ProtWrite),
+		opMappedString(baseLow, 0xf00, 0, false, true),
+		opProtect(baseLow, 0x1000, PageSize, ProtRW),
+		opFill(baseLow, 0x1800, 1, 0),
+		opMappedString(baseLow, 0xf00, 0, false, true),
+		opMappedString(baseLow, 0xf00, 0x100, true, false),
+		opMappedString(baseLow, 0xf00, 0x900, true, false),
+		// Fuel that runs out in the middle of the string, and fuel
+		// that runs out exactly at the unreadable page.
+		opFuel(0x200),
+		opMappedString(baseLow, 0xf00, 0, false, true),
+		opFuel(0x100),
+		opMappedString(baseLow, 0x1f00, 0, true, true),
+		opFuel(-1),
+		opMappedString(baseNull, 0, 0, true, true),
+		opMappedString(baseTop, 0x1ff0, 0x20, false, false),
+		// Clones of a frozen template: uniform pages of a nonzero fill
+		// hold no NUL; a store gives one page a string.
+		opFork(mallocFill),
+		opMappedString(baseLow, 0x10, 0, false, true),
+		opWrite(baseLow, 0x1ff0, 0x20, 1),
+		opMappedString(baseLow, 0x1fe0, 0, false, true),
+		opMappedString(baseLow, 0x1fe0, 0, true, true),
+		opFuel(0x18),
+		opMappedString(baseLow, 0x1fe0, 0, false, true),
+		opSwitch,
+		opMappedString(baseLow, 0x1fe0, 0x800, true, false),
+		opFork(0),
+		opMappedString(baseLow, 0x3000, 0, false, true),
 	)},
 	{"clones", program(
 		opMap(baseLow, 0, 3*PageSize, ProtRW),

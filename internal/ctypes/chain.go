@@ -111,19 +111,18 @@ const maxScan = 1 << 20
 
 // CStringLen returns the length of the NUL-terminated string at a using
 // only non-faulting queries, and whether a terminator was found within the
-// readable span.
+// readable span. It builds no string.
 func CStringLen(env *cval.Env, a cmem.Addr) (uint32, bool) {
-	s, ok := cString(env, a)
-	return uint32(len(s)), ok
+	n, found, f := env.Img.Space.MappedCStrLen(a, maxScan)
+	return n, found && f == nil
 }
 
-// cString reads the NUL-terminated string at a within the readable span
-// MappedLen reports, so only an exhausted access budget can fault; a fault
-// or a span without a NUL reads as no string.
+// cString reads the NUL-terminated string at a in one pass that stops at
+// the first unreadable page without faulting, so only an exhausted access
+// budget can fault; a fault or a span without a NUL reads as no string.
 func cString(env *cval.Env, a cmem.Addr) (string, bool) {
-	sp := env.Img.Space
-	s, f := sp.ReadCString(a, sp.MappedLen(a, cmem.ProtRead, maxScan))
-	return s, f == nil
+	s, found, f := env.Img.Space.ReadMappedCString(a, maxScan)
+	return s, found && f == nil
 }
 
 // checkCString requires a readable NUL-terminated string.
@@ -160,9 +159,17 @@ func checkFmt(env *cval.Env, v cval.Value, _ Need) bool {
 	}
 	// The directive scan reads the string a second time, up to where it
 	// stops, and is charged for it; a fault on that read (an exhausted
-	// access budget) passes the check.
-	if env.Img.Space.Read(v.Addr(), make([]byte, end+1)) != nil {
-		return true
+	// access budget) passes the check. The bytes land in a fixed scratch
+	// buffer, a chunk at a time: the charge does not depend on the split.
+	var scratch [256]byte
+	a := v.Addr()
+	for left := uint32(end + 1); left > 0; {
+		n := min(left, uint32(len(scratch)))
+		if env.Img.Space.Read(a, scratch[:n]) != nil {
+			return true
+		}
+		a += cmem.Addr(n)
+		left -= n
 	}
 	return end == len(s)
 }

@@ -26,7 +26,10 @@ import (
 	"healers/internal/simelf"
 )
 
-// CallCtx is the per-call state threaded through a wrapper's hooks.
+// CallCtx is the per-call state threaded through a wrapper's hooks. It
+// lives for one call only: the generator takes a zeroed context from a
+// pool when the call starts and returns it on every exit, so a hook must
+// keep neither the context nor its Args slice after it returns.
 type CallCtx struct {
 	Env   *cval.Env
 	Proto *ctypes.Prototype
@@ -179,12 +182,14 @@ type State struct {
 	// stays serialized, but on a lock the counter path never touches.
 	traceMu sync.Mutex
 	// trace is the trace micro-generator's bounded ring of recent
-	// calls, traceCap entries of backing store once armed. traceHead is
-	// the next write slot and traceLen the live entry count; traceSeq
-	// is the global call sequence, strictly monotonic for the State's
-	// lifetime — Reset drops the entries but never rewinds it, so Seq
-	// values from before and after a Reset remain comparable.
-	trace     []TraceEntry
+	// calls, traceCap records of backing store once armed; a record
+	// keeps a call's values and is rendered into a TraceEntry only when
+	// the ring is read. traceHead is the next write slot and traceLen
+	// the live record count; traceSeq is the global call sequence,
+	// strictly monotonic for the State's lifetime — Reset drops the
+	// records but never rewinds it, so Seq values from before and after
+	// a Reset remain comparable.
+	trace     []traceRecord
 	traceCap  int
 	traceHead int
 	traceLen  int
@@ -213,25 +218,29 @@ func NewState(soname string) *State {
 // The trace ring is emptied but stays armed, and traceSeq keeps counting:
 // post-Reset entries continue the global sequence. Concurrent writers are
 // not stopped; an increment in flight during Reset may survive it, so
-// run-exact assertions must quiesce capture first.
+// run-exact assertions must quiesce capture first. Most slots of a run's
+// counters are zero, so each is loaded first and stored only when it is
+// not: a Reset writes the cache lines the run wrote, not every slot.
 func (st *State) Reset() {
 	st.mu.Lock()
 	for i := range st.CallCount {
-		atomic.StoreUint64(&st.CallCount[i], 0)
-		atomic.StoreInt64((*int64)(&st.ExecTime[i]), 0)
-		atomic.StoreUint64(&st.DeniedCount[i], 0)
-		atomic.StoreUint64(&st.PassedCount[i], 0)
-		atomic.StoreUint64(&st.SubstCount[i], 0)
-		atomic.StoreUint64(&st.ContainedCount[i], 0)
-		atomic.StoreUint64(&st.RetriedCount[i], 0)
-		atomic.StoreUint64(&st.BreakerTrips[i], 0)
-		atomic.StoreUint64(&st.CorruptionCount[i], 0)
+		clearSlot(&st.CallCount[i])
+		if atomic.LoadInt64((*int64)(&st.ExecTime[i])) != 0 {
+			atomic.StoreInt64((*int64)(&st.ExecTime[i]), 0)
+		}
+		clearSlot(&st.DeniedCount[i])
+		clearSlot(&st.PassedCount[i])
+		clearSlot(&st.SubstCount[i])
+		clearSlot(&st.ContainedCount[i])
+		clearSlot(&st.RetriedCount[i])
+		clearSlot(&st.BreakerTrips[i])
+		clearSlot(&st.CorruptionCount[i])
 		zero(st.ContainedByClass[i])
 		zero(st.ExecHist[i])
 		zero(st.FuncErrno[i])
 	}
 	zero(st.GlobalErrno)
-	atomic.StoreUint64(&st.Overflows, 0)
+	clearSlot(&st.Overflows)
 	st.DenyLog = nil
 	st.mu.Unlock()
 
@@ -241,10 +250,17 @@ func (st *State) Reset() {
 	st.traceMu.Unlock()
 }
 
+// clearSlot atomically zeroes a counter that is not zero.
+func clearSlot(p *uint64) {
+	if atomic.LoadUint64(p) != 0 {
+		atomic.StoreUint64(p, 0)
+	}
+}
+
 // zero atomically clears every slot of a histogram.
 func zero(h []uint64) {
 	for j := range h {
-		atomic.StoreUint64(&h[j], 0)
+		clearSlot(&h[j])
 	}
 }
 
@@ -418,7 +434,7 @@ func (st *State) SetTraceCap(n int) {
 	st.traceMu.Lock()
 	if n > st.traceCap {
 		live := st.traceSnapshot()
-		st.trace = make([]TraceEntry, n)
+		st.trace = make([]traceRecord, n)
 		copy(st.trace, live)
 		st.traceCap = n
 		st.traceHead = len(live) % n
@@ -427,35 +443,68 @@ func (st *State) SetTraceCap(n int) {
 	st.traceMu.Unlock()
 }
 
+// nextTraceSlot assigns the next sequence number to the ring's write
+// slot and returns the slot, overwriting the oldest record once the ring
+// is full; nil while the ring is disarmed. Caller holds traceMu.
+func (st *State) nextTraceSlot() *traceRecord {
+	if st.traceCap == 0 {
+		return nil
+	}
+	st.traceSeq++
+	r := &st.trace[st.traceHead]
+	r.seq = st.traceSeq
+	st.traceHead = (st.traceHead + 1) % st.traceCap
+	if st.traceLen < st.traceCap {
+		st.traceLen++
+	}
+	return r
+}
+
 // AddTrace appends one call record to the bounded ring, overwriting the
 // oldest entry once the ring is full; it assigns the entry's sequence
 // number. Seq is strictly monotonic for the State's lifetime, surviving
 // Reset. A no-op until SetTraceCap arms the ring.
 func (st *State) AddTrace(e TraceEntry) {
 	st.traceMu.Lock()
-	if st.traceCap > 0 {
-		st.traceSeq++
-		e.Seq = st.traceSeq
-		st.trace[st.traceHead] = e
-		st.traceHead = (st.traceHead + 1) % st.traceCap
-		if st.traceLen < st.traceCap {
-			st.traceLen++
-		}
+	if r := st.nextTraceSlot(); r != nil {
+		*r = traceRecord{seq: r.seq, entry: &e, outcome: outcomeRendered}
 	}
 	st.traceMu.Unlock()
 }
 
-// Trace snapshots the trace ring, oldest entry first. Entries are in
-// strictly increasing Seq order; the oldest retained entry is the one
-// traceCap calls behind the newest.
-func (st *State) Trace() []TraceEntry {
+// traceCall records one call of the trace micro-generator: fn carries
+// the function's name, and the first traceMaxArgs+1 argument words are
+// copied, the last of them only to mark the truncation.
+func (st *State) traceCall(fn *TraceEntry, args []cval.Value, dur time.Duration, outcome traceOutcome, errno int32) {
 	st.traceMu.Lock()
-	defer st.traceMu.Unlock()
-	return st.traceSnapshot()
+	if r := st.nextTraceSlot(); r != nil {
+		r.entry, r.dur, r.outcome, r.errno = fn, dur, outcome, errno
+		r.nargs = uint8(copy(r.args[:], args))
+	}
+	st.traceMu.Unlock()
 }
 
-// traceSnapshot linearizes the ring oldest-first. Caller holds traceMu.
-func (st *State) traceSnapshot() []TraceEntry {
+// Trace snapshots the trace ring, oldest entry first, rendering each
+// record's arguments and outcome. Entries are in strictly increasing Seq
+// order; the oldest retained entry is the one traceCap calls behind the
+// newest.
+func (st *State) Trace() []TraceEntry {
+	st.traceMu.Lock()
+	live := st.traceSnapshot()
+	st.traceMu.Unlock()
+	if live == nil {
+		return nil
+	}
+	out := make([]TraceEntry, len(live))
+	for i := range live {
+		out[i] = live[i].render()
+	}
+	return out
+}
+
+// traceSnapshot copies the live records out of the ring, oldest first.
+// Caller holds traceMu.
+func (st *State) traceSnapshot() []traceRecord {
 	if st.traceLen == 0 {
 		return nil
 	}
@@ -463,10 +512,9 @@ func (st *State) traceSnapshot() []TraceEntry {
 	if start < 0 {
 		start += st.traceCap
 	}
-	out := make([]TraceEntry, 0, st.traceLen)
-	for k := 0; k < st.traceLen; k++ {
-		out = append(out, st.trace[(start+k)%st.traceCap])
-	}
+	out := make([]traceRecord, st.traceLen)
+	n := copy(out, st.trace[start:min(start+st.traceLen, st.traceCap)])
+	copy(out[n:], st.trace)
 	return out
 }
 
@@ -544,13 +592,8 @@ func (g *Generator) build(proto *ctypes.Prototype, resolve func() cval.CFunc, st
 			isCaller: isCaller,
 		}
 	}
-	return func(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
-		ctx := &CallCtx{
-			Env:       env,
-			Proto:     proto,
-			Args:      args,
-			FuncIndex: idx,
-		}
+	// call runs the hooks and the original function for one call.
+	call := func(ctx *CallCtx) (cval.Value, *cmem.Fault) {
 		for _, p := range pairs {
 			if p.pre == nil {
 				continue
@@ -564,9 +607,11 @@ func (g *Generator) build(proto *ctypes.Prototype, resolve func() cval.CFunc, st
 			if fn == nil {
 				return 0, &cmem.Fault{Kind: cmem.FaultAbort, Op: "wrapper", Detail: fmt.Sprintf("RTLD_NEXT for %s unresolved", proto.Name)}
 			}
+			env, args := ctx.Env, ctx.Args
 			if ctx.Contain {
 				// Only a containment postfix ever re-invokes; skip the
-				// closure allocation on the uncontained fast path.
+				// closure allocation on the uncontained fast path. The
+				// closure holds the call's values, not ctx.
 				ctx.invoke = func() (cval.Value, *cmem.Fault) { return fn(env, args) }
 			}
 			ret, fault := fn(env, args)
@@ -603,6 +648,25 @@ func (g *Generator) build(proto *ctypes.Prototype, resolve func() cval.CFunc, st
 		}
 		return ctx.Ret, nil
 	}
+	return func(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
+		ctx := callCtxPool.Get().(*CallCtx)
+		ctx.Env, ctx.Proto, ctx.Args, ctx.FuncIndex = env, proto, args, idx
+		ret, f := call(ctx)
+		ctx.release()
+		return ret, f
+	}
+}
+
+// callCtxPool holds zeroed call contexts for reuse: a wrapped call's
+// bookkeeping then allocates nothing. A call made from inside a wrapped
+// call (a comparator qsort invokes) takes a context of its own.
+var callCtxPool = sync.Pool{New: func() any { return new(CallCtx) }}
+
+// release zeroes ctx, keeping the watchdog stack's storage, and returns
+// it to the pool.
+func (ctx *CallCtx) release() {
+	*ctx = CallCtx{watchdogStack: ctx.watchdogStack[:0]}
+	callCtxPool.Put(ctx)
 }
 
 // Subst builds a replacement implementation for one wrapped symbol at

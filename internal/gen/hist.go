@@ -103,7 +103,9 @@ func FormatNS(ns int64) string {
 
 // TraceEntry is one record of the trace micro-generator's bounded ring:
 // a recently intercepted call with its rendered arguments, duration, and
-// outcome, kept for post-mortem inspection (healers-profile -trace).
+// outcome, kept for post-mortem inspection (healers-profile -trace). The
+// ring keeps a call's argument words and errno; State.Trace renders them
+// into Args and Outcome when the ring is read.
 type TraceEntry struct {
 	// Seq is the 1-based global sequence number of the call across the
 	// wrapper library; gaps at the front mean the ring wrapped.

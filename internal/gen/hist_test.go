@@ -210,6 +210,7 @@ func TestTraceRingGrow(t *testing.T) {
 }
 
 func TestSummarizeArgs(t *testing.T) {
+	summarizeArgs := func(args []cval.Value) string { return string(appendArgs(nil, args)) }
 	if got := summarizeArgs(nil); got != "" {
 		t.Errorf("no args rendered %q", got)
 	}

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -581,13 +582,14 @@ type traceGen struct {
 }
 
 // MGTrace keeps a bounded ring of the most recent intercepted calls —
-// function name, rendered arguments, duration, and outcome ("ok",
-// "denied", or "errno=<name>") — for post-mortem inspection
-// (healers-profile -trace). The ring holds the given number of entries;
-// when several trace micro-generators share one wrapper state the
-// largest capacity wins. Entries never leave the process unless the
-// profile document serializes them, so the overhead is one ring slot
-// write per call.
+// function name, arguments, duration, and outcome ("ok", "denied", or
+// "errno=<name>") — for post-mortem inspection (healers-profile -trace).
+// The ring holds the given number of entries; when several trace
+// micro-generators share one wrapper state the largest capacity wins.
+// Entries never leave the process unless the profile document serializes
+// them, so a call costs one ring slot write: the slot keeps the argument
+// words and errno, and they are rendered into text only when the ring is
+// read (State.Trace).
 func MGTrace(capacity int) MicroGenerator { return &traceGen{capacity: capacity} }
 
 func (*traceGen) Name() string { return "trace" }
@@ -611,22 +613,69 @@ func (g *traceGen) PostfixSource(proto *ctypes.Prototype) []string {
 // traceMaxArgs caps how many argument words one trace entry renders.
 const traceMaxArgs = 8
 
-// summarizeArgs renders a call's argument words for a trace entry.
-func summarizeArgs(args []cval.Value) string {
-	n := len(args)
-	truncated := false
-	if n > traceMaxArgs {
-		n = traceMaxArgs
-		truncated = true
+// appendArgs appends a call's argument words to b as a trace entry
+// renders them: at most traceMaxArgs of them, then "..." when there are
+// more.
+func appendArgs(b []byte, args []cval.Value) []byte {
+	for i, v := range args {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		if i == traceMaxArgs {
+			return append(b, "..."...)
+		}
+		b = append(b, "0x"...)
+		b = strconv.AppendUint(b, uint64(v), 16)
 	}
-	parts := make([]string, 0, n+1)
-	for _, v := range args[:n] {
-		parts = append(parts, v.String())
+	return b
+}
+
+// traceOutcome is how a traced call ended.
+type traceOutcome uint8
+
+const (
+	outcomeOK traceOutcome = iota
+	outcomeDenied
+	outcomeErrno
+	// outcomeRendered marks an AddTrace entry, which its caller
+	// rendered.
+	outcomeRendered
+)
+
+// traceRecord is one slot of the trace ring (104 bytes): what a call
+// left for State.Trace to render, not the rendered text. entry holds the
+// function's name for a traced call, and the whole entry for an AddTrace
+// one; args holds the first nargs argument words, of which a
+// (traceMaxArgs+1)th only marks the truncation.
+type traceRecord struct {
+	seq     uint64
+	dur     time.Duration
+	entry   *TraceEntry
+	args    [traceMaxArgs + 1]cval.Value
+	nargs   uint8
+	outcome traceOutcome
+	errno   int32
+}
+
+// render builds the record's TraceEntry.
+func (r *traceRecord) render() TraceEntry {
+	e := *r.entry
+	e.Seq = r.seq
+	if r.outcome == outcomeRendered {
+		return e
 	}
-	if truncated {
-		parts = append(parts, "...")
+	var buf [64]byte
+	e.Args = string(appendArgs(buf[:0], r.args[:r.nargs]))
+	e.Dur = r.dur
+	switch r.outcome {
+	case outcomeDenied:
+		e.Outcome = "denied"
+	case outcomeErrno:
+		e.Outcome = "errno=" + cval.ErrnoName(r.errno)
+	default:
+		e.Outcome = "ok"
 	}
-	return strings.Join(parts, ", ")
+	return e
 }
 
 func (g *traceGen) PrefixHook(proto *ctypes.Prototype, st *State) Hook {
@@ -639,20 +688,16 @@ func (g *traceGen) PrefixHook(proto *ctypes.Prototype, st *State) Hook {
 }
 
 func (g *traceGen) PostfixHook(proto *ctypes.Prototype, st *State) Hook {
+	fn := &TraceEntry{Func: proto.Name}
 	return func(ctx *CallCtx) *cmem.Fault {
-		outcome := "ok"
+		outcome := outcomeOK
 		switch {
 		case ctx.Denied:
-			outcome = "denied"
+			outcome = outcomeDenied
 		case ctx.Env.Errno != ctx.errnoTrace:
-			outcome = "errno=" + cval.ErrnoName(ctx.Env.Errno)
+			outcome = outcomeErrno
 		}
-		st.AddTrace(TraceEntry{
-			Func:    proto.Name,
-			Args:    summarizeArgs(ctx.Args),
-			Dur:     time.Since(ctx.traceStart),
-			Outcome: outcome,
-		})
+		st.traceCall(fn, ctx.Args, time.Since(ctx.traceStart), outcome, ctx.Env.Errno)
 		return nil
 	}
 }

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -194,4 +195,103 @@ func TestSubstTrampolineUnresolved(t *testing.T) {
 	if _, f := fn(cval.NewEnv(), nil); f == nil || f.Kind != cmem.FaultAbort {
 		t.Errorf("unresolved substitute: fault = %v, want SIGABRT", f)
 	}
+}
+
+// TestTraceMicroRecordsCalls drives the trace micro-generator through a
+// wrapper and checks the entries the ring renders when read: the "..."
+// suffix past traceMaxArgs argument words, a denied call, an errno
+// outcome, Seq across Reset, and SetTraceCap growth on a ring that
+// already holds entries.
+func TestTraceMicroRecordsCalls(t *testing.T) {
+	proto, err := cheader.ParsePrototype("int f(const char *s, ...); // @s in_str")
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := ctypes.RobustAPI{"f": {{Name: "s", Chain: "in_str", Level: 1, LevelName: "nonnull"}}}
+	st := NewState("libtrace.so")
+	// The trace sits outside the argument check so that it sees denied
+	// calls.
+	g := MustGenerator(MGPrototype(), MGTrace(3), MGArgCheck(api), MGCaller())
+	var next cval.CFunc = func(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
+		if len(args) > 1 && args[1] == 34 {
+			env.Errno = cval.ERANGE
+		}
+		return cval.Int(int64(len(args))), nil
+	}
+	w := g.Build(proto, &next, st)
+	env := cval.NewEnv()
+	s, f := env.Img.StaticString("x")
+	if f != nil {
+		t.Fatal(f)
+	}
+	call := func(args ...cval.Value) {
+		t.Helper()
+		if _, f := w(env, args); f != nil {
+			t.Fatal(f)
+		}
+	}
+	type want struct {
+		seq           uint64
+		args, outcome string
+	}
+	check := func(what string, ws ...want) {
+		t.Helper()
+		got := st.Trace()
+		if len(got) != len(ws) {
+			t.Fatalf("%s: %d entries %+v, want %d", what, len(got), got, len(ws))
+		}
+		for i, e := range got {
+			if e.Func != "f" || e.Seq != ws[i].seq || e.Args != ws[i].args || e.Outcome != ws[i].outcome {
+				t.Errorf("%s: entry %d = %d %s(%s) %s, want %d f(%s) %s", what, i,
+					e.Seq, e.Func, e.Args, e.Outcome, ws[i].seq, ws[i].args, ws[i].outcome)
+			}
+		}
+	}
+	sx := fmt.Sprintf("%#x", uint64(s))
+
+	long := []cval.Value{cval.Ptr(s)}
+	for k := 1; k <= traceMaxArgs+1; k++ {
+		long = append(long, cval.Int(int64(k)))
+	}
+	call(long...)                       // seq 1: ten words, eight rendered
+	call(cval.Ptr(0))                   // seq 2: denied
+	call(cval.Ptr(s), cval.Int(34))     // seq 3: errno=ERANGE
+	call(cval.Ptr(s), cval.Int(0xbeef)) // seq 4: ok; seq 1 leaves the ring
+	check("full ring",
+		want{2, "0x0", "denied"},
+		want{3, sx + ", 0x22", "errno=ERANGE"},
+		want{4, sx + ", 0xbeef", "ok"})
+
+	// Exactly traceMaxArgs+1 words still truncate.
+	call(long[:traceMaxArgs+1]...) // seq 5
+	if got := st.Trace()[2].Args; got != sx+", 0x1, 0x2, 0x3, 0x4, 0x5, 0x6, 0x7, ..." {
+		t.Errorf("nine words rendered %q", got)
+	}
+
+	st.Reset()
+	check("after Reset")
+	env.Errno = 0
+	call(cval.Ptr(s), cval.Int(34)) // seq 6
+	call(long...)                   // seq 7
+	check("refilled after Reset",
+		want{6, sx + ", 0x22", "errno=ERANGE"},
+		want{7, sx + ", 0x1, 0x2, 0x3, 0x4, 0x5, 0x6, 0x7, ...", "ok"})
+
+	// Growth re-linearizes the live entries, then the ring fills to the
+	// new capacity before it wraps.
+	call(cval.Ptr(0)) // seq 8
+	call(cval.Ptr(s)) // seq 9: seq 6 leaves the ring
+	st.SetTraceCap(4)
+	call(cval.Ptr(0)) // seq 10
+	check("grown ring",
+		want{7, sx + ", 0x1, 0x2, 0x3, 0x4, 0x5, 0x6, 0x7, ...", "ok"},
+		want{8, "0x0", "denied"},
+		want{9, sx, "ok"},
+		want{10, "0x0", "denied"})
+	call(cval.Ptr(s), cval.Int(1)) // seq 11: seq 7 leaves the ring
+	check("grown ring wrapped",
+		want{8, "0x0", "denied"},
+		want{9, sx, "ok"},
+		want{10, "0x0", "denied"},
+		want{11, sx + ", 0x1", "ok"})
 }

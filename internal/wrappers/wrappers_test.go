@@ -12,21 +12,26 @@ import (
 	"healers/internal/simelf"
 )
 
-// loadWith builds a system with libc plus the given wrapper and returns a
-// call helper resolving through the preloaded wrapper.
-func loadWith(t *testing.T, wrapper *simelf.Library) (*cval.Env, func(string, ...cval.Value) (cval.Value, *cmem.Fault)) {
+// loadWith builds a system with libc plus the given wrappers, preloaded
+// in order (the first is outermost), and returns a call helper resolving
+// through them.
+func loadWith(t *testing.T, wrappers ...*simelf.Library) (*cval.Env, func(string, ...cval.Value) (cval.Value, *cmem.Fault)) {
 	t.Helper()
 	sys := simelf.NewSystem()
 	if err := sys.AddLibrary(clib.MustRegistry().AsLibrary()); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.AddLibrary(wrapper); err != nil {
-		t.Fatal(err)
+	var preloads []string
+	for _, w := range wrappers {
+		if err := sys.AddLibrary(w); err != nil {
+			t.Fatal(err)
+		}
+		preloads = append(preloads, w.Soname)
 	}
 	if err := sys.AddExecutable(&simelf.Executable{Name: "app", Needed: []string{clib.LibcSoname}}); err != nil {
 		t.Fatal(err)
 	}
-	lm, err := dynlink.Load(sys, "app", []string{wrapper.Soname})
+	lm, err := dynlink.Load(sys, "app", preloads)
 	if err != nil {
 		t.Fatal(err)
 	}
