@@ -34,10 +34,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"time"
 
 	"healers/internal/collect"
@@ -226,7 +229,7 @@ func run(cfg serveConfig) error {
 		select {
 		case <-interrupted:
 			fmt.Println("\ninterrupted")
-			return summarize(srv, reg, cfg.showStats)
+			return summarize(os.Stdout, srv, reg, cfg.showStats)
 		case <-deriveTick.C:
 			if deriver != nil {
 				deriver.step(srv)
@@ -242,7 +245,7 @@ func run(cfg serveConfig) error {
 					// from everything it received.
 					deriver.step(srv)
 				}
-				return summarize(srv, reg, cfg.showStats)
+				return summarize(os.Stdout, srv, reg, cfg.showStats)
 			}
 		}
 	}
@@ -359,39 +362,42 @@ func report(srv *collect.Server, cursor uint64) uint64 {
 	return next
 }
 
-func summarize(srv *collect.Server, reg *collect.Registry, showStats bool) error {
+// summarize writes the exit summary to w: call counts per function and
+// document counts per kind in name order, then the registry counters.
+func summarize(w io.Writer, srv *collect.Server, reg *collect.Registry, showStats bool) error {
 	agg, err := srv.AggregateCalls()
 	if err != nil {
 		return err
 	}
 	if len(agg) == 0 {
-		fmt.Println("no profiles received")
+		fmt.Fprintln(w, "no profiles received")
 	} else {
-		fmt.Println("\naggregate call counts across all received profiles:")
-		for fn, calls := range agg {
-			fmt.Printf("  %-14s %d\n", fn, calls)
+		fmt.Fprintln(w, "\naggregate call counts across all received profiles:")
+		for _, fn := range slices.Sorted(maps.Keys(agg)) {
+			fmt.Fprintf(w, "  %-14s %d\n", fn, agg[fn])
 		}
 	}
 	if showStats {
 		st := srv.Stats()
-		fmt.Println("\ningest counters:")
-		fmt.Printf("  docs received    %d (%d bytes)\n", st.DocsReceived, st.BytesReceived)
-		fmt.Printf("  docs retained    %d (%d bytes)\n", st.DocsRetained, st.BytesRetained)
-		fmt.Printf("  docs evicted     %d (%d bytes)\n", st.DocsEvicted, st.BytesEvicted)
-		fmt.Printf("  frames rejected  %d\n", st.FramesRejected)
-		fmt.Printf("  docs rejected    %d\n", st.DocsRejected)
-		fmt.Printf("  conns accepted   %d (rejected %d, active %d)\n", st.ConnsAccepted, st.ConnsRejected, st.ActiveConns)
-		for kind, n := range srv.KindCounts() {
-			fmt.Printf("  kind %-12s %d\n", kind, n)
+		fmt.Fprintln(w, "\ningest counters:")
+		fmt.Fprintf(w, "  docs received    %d (%d bytes)\n", st.DocsReceived, st.BytesReceived)
+		fmt.Fprintf(w, "  docs retained    %d (%d bytes)\n", st.DocsRetained, st.BytesRetained)
+		fmt.Fprintf(w, "  docs evicted     %d (%d bytes)\n", st.DocsEvicted, st.BytesEvicted)
+		fmt.Fprintf(w, "  frames rejected  %d\n", st.FramesRejected)
+		fmt.Fprintf(w, "  docs rejected    %d\n", st.DocsRejected)
+		fmt.Fprintf(w, "  conns accepted   %d (rejected %d, active %d)\n", st.ConnsAccepted, st.ConnsRejected, st.ActiveConns)
+		kinds := srv.KindCounts()
+		for _, kind := range slices.Sorted(maps.Keys(kinds)) {
+			fmt.Fprintf(w, "  kind %-12s %d\n", kind, kinds[kind])
 		}
 	}
 	if reg != nil {
 		st := reg.Stats()
-		fmt.Println("\ncampaign-cache registry:")
-		fmt.Printf("  entries          %d (%d bytes)\n", st.Entries, st.Bytes)
-		fmt.Printf("  gets             %d hit(s), %d miss(es)\n", st.Hits, st.Misses)
-		fmt.Printf("  puts             %d stored, %d already known, %d frame(s) rejected\n", st.Puts, st.Known, st.Rejected)
-		fmt.Printf("  evicted          %d, corrupt files discarded %d\n", st.Evicted, st.Corrupt)
+		fmt.Fprintln(w, "\ncampaign-cache registry:")
+		fmt.Fprintf(w, "  entries          %d (%d bytes)\n", st.Entries, st.Bytes)
+		fmt.Fprintf(w, "  gets             %d hit(s), %d miss(es)\n", st.Hits, st.Misses)
+		fmt.Fprintf(w, "  puts             %d stored, %d already known, %d frame(s) rejected\n", st.Puts, st.Known, st.Rejected)
+		fmt.Fprintf(w, "  evicted          %d, corrupt files discarded %d\n", st.Evicted, st.Corrupt)
 	}
 	return nil
 }

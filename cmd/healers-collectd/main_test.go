@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -111,7 +112,7 @@ func TestRunDeriveMode(t *testing.T) {
 	profile := &xmlrep.ProfileLog{
 		Host: "h", App: "a", Wrapper: "libhealers_contain.so",
 		Funcs: []xmlrep.FuncProfile{{
-			Name: "strlen", Calls: 100, Contained: 10,
+			Name: "strlen", FuncCounters: xmlrep.FuncCounters{Calls: 100, Contained: 10},
 			ContainedBy: []xmlrep.ClassCount{{Class: "crash", Count: 10}},
 		}},
 	}
@@ -214,5 +215,57 @@ func TestRunMetricsEndpoint(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("run: %v", err)
+	}
+}
+
+// TestSummarizeSorted: the exit summary lists the aggregated functions
+// and the received document kinds in name order, whatever order the
+// server's maps hold them in.
+func TestSummarizeSorted(t *testing.T) {
+	srv, err := collect.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	st := gen.NewState("libhealers_prof.so")
+	for i, fn := range []string{"strlen", "memcpy", "wctrans", "abort", "qsort"} {
+		st.CallCount[st.Index(fn)] = uint64(i + 1)
+	}
+	seq := &xmlrep.SequenceReportDoc{Scenario: "s", App: "a", Runs: []xmlrep.SeqRunXML{{Outcome: "ok"}}}
+	seq.Stamp()
+	for _, doc := range []any{xmlrep.NewProfileLog("h", "a", st), seq} {
+		if err := collect.Upload(srv.Addr(), doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.Count() < 2; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("collector holds %d of 2 documents", srv.Count())
+		}
+	}
+
+	var b strings.Builder
+	if err := summarize(&b, srv, nil, true); err != nil {
+		t.Fatal(err)
+	}
+	var funcs, kinds []string
+	inCalls := false
+	for _, line := range strings.Split(b.String(), "\n") {
+		switch f := strings.Fields(line); {
+		case strings.HasPrefix(line, "aggregate call counts"):
+			inCalls = true
+		case line == "":
+			inCalls = false
+		case inCalls:
+			funcs = append(funcs, f[0])
+		case len(f) == 3 && f[0] == "kind":
+			kinds = append(kinds, f[1])
+		}
+	}
+	if want := []string{"abort", "memcpy", "qsort", "strlen", "wctrans"}; !slices.Equal(funcs, want) {
+		t.Errorf("functions listed as %v, want %v\n%s", funcs, want, b.String())
+	}
+	if want := []string{"profile", "sequence-report"}; !slices.Equal(kinds, want) {
+		t.Errorf("kinds listed as %v, want %v\n%s", kinds, want, b.String())
 	}
 }

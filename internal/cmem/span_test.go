@@ -560,15 +560,29 @@ func compareSpaces(t *testing.T, ctx string, sp *Space, ref *refSpace) {
 	if sp.PageCount() != len(ref.pages) {
 		t.Fatalf("%s: PageCount %d, reference %d", ctx, sp.PageCount(), len(ref.pages))
 	}
+	// Each page is compared in one array comparison; a uniform page
+	// against uniform, which holds uniformFill in every byte.
+	var uniform [PageSize]byte
+	var uniformFill byte
 	for pn, rp := range ref.pages {
 		pg := sp.pageOf(pn << pageShift)
 		if pg == nil || pg.prot != rp.prot {
 			t.Fatalf("%s: page %s mapped as %v, reference %s", ctx, pn<<pageShift, pg, rp.prot)
 		}
-		for i := range uint32(PageSize) {
-			if got, want := pg.at(i), rp.data[i]; got != want {
-				t.Fatalf("%s: byte %s = %#x, reference %#x", ctx, pn<<pageShift+Addr(i), got, want)
+		got := pg.data
+		if got == nil {
+			if pg.fill != uniformFill {
+				memset(uniform[:], pg.fill)
+				uniformFill = pg.fill
 			}
+			got = &uniform
+		}
+		if *got != rp.data {
+			i := 0
+			for got[i] == rp.data[i] {
+				i++
+			}
+			t.Fatalf("%s: byte %s = %#x, reference %#x", ctx, pn<<pageShift+Addr(i), got[i], rp.data[i])
 		}
 	}
 	if got, want := sp.JournalDiff(), ref.JournalDiff(); len(got) != 0 || len(want) != 0 {

@@ -88,9 +88,11 @@ func TestSpoolerRoundTripsObservabilityDoc(t *testing.T) {
 	st.ExecHist[idx][3] = 4
 	st.ExecHist[idx][9] = 6
 	st.FuncErrno[idx][2] = 1 // ENOENT
-	st.SetTraceCap(4)
-	st.AddTrace(gen.TraceEntry{Func: "strlen", Args: "0x1000", Dur: 42 * time.Nanosecond, Outcome: "ok"})
-	data, err := xmlrep.Marshal(xmlrep.NewProfileLog("h", "a", st))
+	sent := xmlrep.NewProfileLog("h", "a", st)
+	sent.Trace = &xmlrep.TraceXML{Calls: []xmlrep.TraceEntryXML{
+		{Seq: 1, Func: "strlen", Args: "0x1000", DurNS: 42, Outcome: "ok"},
+	}}
+	data, err := xmlrep.Marshal(sent)
 	if err != nil {
 		t.Fatal(err)
 	}

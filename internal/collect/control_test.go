@@ -129,7 +129,7 @@ func TestControlPlaneSharesServerWithIngest(t *testing.T) {
 
 	profile := &xmlrep.ProfileLog{
 		Host: "h", App: "a", Wrapper: "w",
-		Funcs: []xmlrep.FuncProfile{{Name: "malloc", Calls: 7}},
+		Funcs: []xmlrep.FuncProfile{{Name: "malloc", FuncCounters: xmlrep.FuncCounters{Calls: 7}}},
 	}
 	if err := c.Send(profile); err != nil {
 		t.Fatalf("profile upload: %v", err)
@@ -155,7 +155,7 @@ func TestAggregateContainedByClass(t *testing.T) {
 		profile := &xmlrep.ProfileLog{
 			Host: "h", App: "a", Wrapper: "w",
 			Funcs: []xmlrep.FuncProfile{{
-				Name: "malloc", Calls: 10, Contained: 3,
+				Name: "malloc", FuncCounters: xmlrep.FuncCounters{Calls: 10, Contained: 3},
 				ContainedBy: []xmlrep.ClassCount{
 					{Class: "crash", Count: 2},
 					{Class: "hang", Count: 1},

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"syscall"
@@ -19,26 +21,8 @@ import (
 // FuncAggregate is one wrapped function's fleet-wide totals, merged across
 // every profile document the server has received.
 type FuncAggregate struct {
-	// Calls is the total call count.
-	Calls uint64
-	// ExecNS is the total time spent in the function, nanoseconds.
-	ExecNS int64
-	// Denied counts calls vetoed by a checking micro-generator.
-	Denied uint64
-	// Passed counts calls that cleared every installed check.
-	Passed uint64
-	// Substituted counts calls routed through a bounded substitution.
-	Substituted uint64
-	// Contained counts faults caught and virtualized by the containment
-	// wrapper; Retried counts its policy-issued retry attempts;
-	// BreakerTrips counts circuit-breaker trips.
-	Contained    uint64
-	Retried      uint64
-	BreakerTrips uint64
-	// SilentCorrupt counts silent corruptions attributed to the function
-	// (success status, diverged committed state — see the sequence
-	// campaign's journal-diff classification).
-	SilentCorrupt uint64
+	// FuncCounters sums the function's profile counters.
+	xmlrep.FuncCounters
 	// ContainedBy splits Contained per failure class, indexed by
 	// gen.FailureClass — the grain the control plane's escalation
 	// decisions consume. Profiles from pre-containment clients leave it
@@ -88,15 +72,7 @@ func (a *FleetAggregate) merge(prof *xmlrep.ProfileLog) {
 			fa = &FuncAggregate{}
 			a.Funcs[f.Name] = fa
 		}
-		fa.Calls += f.Calls
-		fa.ExecNS += f.ExecNS
-		fa.Denied += f.Denied
-		fa.Passed += f.Passed
-		fa.Substituted += f.Substituted
-		fa.Contained += f.Contained
-		fa.Retried += f.Retried
-		fa.BreakerTrips += f.BreakerTrips
-		fa.SilentCorrupt += f.SilentCorrupt
+		fa.FuncCounters.Add(f.FuncCounters)
 		if f.SilentCorrupt > 0 {
 			a.Outcomes["silent-corruption"] += f.SilentCorrupt
 		}
@@ -143,37 +119,17 @@ func (a *FleetAggregate) mergeSequence(doc *xmlrep.SequenceReportDoc) {
 // clone deep-copies the aggregate so callers can read it without holding
 // the server lock.
 func (a *FleetAggregate) clone() *FleetAggregate {
-	out := newFleetAggregate()
-	out.Overflows = a.Overflows
+	out := &FleetAggregate{
+		Funcs:     make(map[string]*FuncAggregate, len(a.Funcs)),
+		Global:    maps.Clone(a.Global),
+		Overflows: a.Overflows,
+		Outcomes:  maps.Clone(a.Outcomes),
+	}
 	for fn, fa := range a.Funcs {
-		c := &FuncAggregate{
-			Calls:         fa.Calls,
-			ExecNS:        fa.ExecNS,
-			Denied:        fa.Denied,
-			Passed:        fa.Passed,
-			Substituted:   fa.Substituted,
-			Contained:     fa.Contained,
-			Retried:       fa.Retried,
-			BreakerTrips:  fa.BreakerTrips,
-			SilentCorrupt: fa.SilentCorrupt,
-			ContainedBy:   fa.ContainedBy,
-		}
-		if fa.Hist != nil {
-			c.Hist = append([]uint64(nil), fa.Hist...)
-		}
-		if fa.Errnos != nil {
-			c.Errnos = make(map[string]uint64, len(fa.Errnos))
-			for e, n := range fa.Errnos {
-				c.Errnos[e] = n
-			}
-		}
-		out.Funcs[fn] = c
-	}
-	for e, n := range a.Global {
-		out.Global[e] = n
-	}
-	for o, n := range a.Outcomes {
-		out.Outcomes[o] = n
+		c := *fa
+		c.Hist = slices.Clone(fa.Hist)
+		c.Errnos = maps.Clone(fa.Errnos)
+		out.Funcs[fn] = &c
 	}
 	return out
 }

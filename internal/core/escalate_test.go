@@ -13,7 +13,7 @@ import (
 // aggWith builds a fleet aggregate with one function's call count and
 // per-class containment counters.
 func aggWith(fn string, calls uint64, byClass map[gen.FailureClass]uint64) *collect.FleetAggregate {
-	fa := &collect.FuncAggregate{Calls: calls}
+	fa := &collect.FuncAggregate{FuncCounters: xmlrep.FuncCounters{Calls: calls}}
 	for c, n := range byClass {
 		fa.ContainedBy[c] = n
 	}
@@ -136,7 +136,7 @@ func TestEscalatePolicyNilCurrent(t *testing.T) {
 func TestEscalatePolicyDeterministic(t *testing.T) {
 	agg := &collect.FleetAggregate{Funcs: map[string]*collect.FuncAggregate{}}
 	for _, fn := range []string{"zeta", "alpha", "mid"} {
-		fa := &collect.FuncAggregate{Calls: 100}
+		fa := &collect.FuncAggregate{FuncCounters: xmlrep.FuncCounters{Calls: 100}}
 		fa.ContainedBy[gen.ClassCrash] = 30
 		fa.ContainedBy[gen.ClassHang] = 20
 		agg.Funcs[fn] = fa

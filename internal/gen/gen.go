@@ -460,21 +460,12 @@ func (st *State) nextTraceSlot() *traceRecord {
 	return r
 }
 
-// AddTrace appends one call record to the bounded ring, overwriting the
-// oldest entry once the ring is full; it assigns the entry's sequence
-// number. Seq is strictly monotonic for the State's lifetime, surviving
-// Reset. A no-op until SetTraceCap arms the ring.
-func (st *State) AddTrace(e TraceEntry) {
-	st.traceMu.Lock()
-	if r := st.nextTraceSlot(); r != nil {
-		*r = traceRecord{seq: r.seq, entry: &e, outcome: outcomeRendered}
-	}
-	st.traceMu.Unlock()
-}
-
-// traceCall records one call of the trace micro-generator: fn carries
-// the function's name, and the first traceMaxArgs+1 argument words are
-// copied, the last of them only to mark the truncation.
+// traceCall records one call of the trace micro-generator in the bounded
+// ring, overwriting the oldest record once the ring is full, and assigns
+// its sequence number: strictly monotonic for the State's lifetime,
+// surviving Reset. fn carries the function's name, and the first
+// traceMaxArgs+1 argument words are copied, the last of them only to
+// mark the truncation. A no-op until SetTraceCap arms the ring.
 func (st *State) traceCall(fn *TraceEntry, args []cval.Value, dur time.Duration, outcome traceOutcome, errno int32) {
 	st.traceMu.Lock()
 	if r := st.nextTraceSlot(); r != nil {

@@ -117,10 +117,16 @@ func TestExecSampleFeedsHistogram(t *testing.T) {
 	}
 }
 
+// addTrace records one call of fn that took dur, as the trace
+// micro-generator does.
+func addTrace(st *State, fn string, dur time.Duration) {
+	st.traceCall(&TraceEntry{Func: fn}, nil, dur, outcomeOK, 0)
+}
+
 func TestTraceRing(t *testing.T) {
 	st := NewState("libtest.so")
 	// Without a capacity the ring stays disarmed.
-	st.AddTrace(TraceEntry{Func: "ignored"})
+	addTrace(st, "ignored", 0)
 	if got := st.Trace(); got != nil {
 		t.Fatalf("disarmed ring recorded %v", got)
 	}
@@ -128,7 +134,7 @@ func TestTraceRing(t *testing.T) {
 	st.SetTraceCap(3)
 	st.SetTraceCap(2) // smaller request must not shrink the ring
 	for i := 0; i < 5; i++ {
-		st.AddTrace(TraceEntry{Func: "f", Outcome: "ok", Dur: time.Duration(i)})
+		addTrace(st, "f", time.Duration(i))
 	}
 	got := st.Trace()
 	if len(got) != 3 {
@@ -155,13 +161,13 @@ func TestTraceRingResetRefill(t *testing.T) {
 	st := NewState("libtest.so")
 	st.SetTraceCap(3)
 	for i := 0; i < 5; i++ { // seq 1..5; ring holds 3,4,5
-		st.AddTrace(TraceEntry{Func: "a"})
+		addTrace(st, "a", 0)
 	}
 	st.Reset()
 
 	// Refill past capacity: seq 6..9, ring holds 7,8,9 oldest-first.
 	for i := 0; i < 4; i++ {
-		st.AddTrace(TraceEntry{Func: "b", Dur: time.Duration(i)})
+		addTrace(st, "b", time.Duration(i))
 	}
 	got := st.Trace()
 	if len(got) != 3 {
@@ -179,7 +185,7 @@ func TestTraceRingResetRefill(t *testing.T) {
 	// A partially refilled ring (fewer entries than capacity after
 	// Reset) must not resurrect pre-Reset slots.
 	st.Reset()
-	st.AddTrace(TraceEntry{Func: "c"})
+	addTrace(st, "c", 0)
 	got = st.Trace()
 	if len(got) != 1 || got[0].Func != "c" || got[0].Seq != 10 {
 		t.Errorf("partial refill = %+v, want one entry func=c seq=10", got)
@@ -193,10 +199,10 @@ func TestTraceRingGrow(t *testing.T) {
 	st := NewState("libtest.so")
 	st.SetTraceCap(2)
 	for i := 0; i < 3; i++ { // seq 1..3; ring holds 2,3
-		st.AddTrace(TraceEntry{Func: "a"})
+		addTrace(st, "a", 0)
 	}
 	st.SetTraceCap(4)
-	st.AddTrace(TraceEntry{Func: "b"}) // seq 4
+	addTrace(st, "b", 0) // seq 4
 	got := st.Trace()
 	want := []uint64{2, 3, 4}
 	if len(got) != len(want) {

@@ -637,15 +637,11 @@ const (
 	outcomeOK traceOutcome = iota
 	outcomeDenied
 	outcomeErrno
-	// outcomeRendered marks an AddTrace entry, which its caller
-	// rendered.
-	outcomeRendered
 )
 
 // traceRecord is one slot of the trace ring (104 bytes): what a call
 // left for State.Trace to render, not the rendered text. entry holds the
-// function's name for a traced call, and the whole entry for an AddTrace
-// one; args holds the first nargs argument words, of which a
+// function's name; args holds the first nargs argument words, of which a
 // (traceMaxArgs+1)th only marks the truncation.
 type traceRecord struct {
 	seq     uint64
@@ -661,9 +657,6 @@ type traceRecord struct {
 func (r *traceRecord) render() TraceEntry {
 	e := *r.entry
 	e.Seq = r.seq
-	if r.outcome == outcomeRendered {
-		return e
-	}
 	var buf [64]byte
 	e.Args = string(appendArgs(buf[:0], r.args[:r.nargs]))
 	e.Dur = r.dur

@@ -2,8 +2,10 @@ package webui
 
 import (
 	"fmt"
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -72,29 +74,114 @@ type MetricsSources struct {
 // every daemon.
 func MetricsHandlerFor(src MetricsSources) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var b strings.Builder
+		var fams []family
 		if src.Collector != nil {
-			writeProfileMetrics(&b, src.Collector)
-			writeIngestMetrics(&b, src.Collector)
+			fams = append(fams, aggregateFamilies(src.Collector.Aggregate())...)
+			fams = append(fams, ingestFamilies(src.Collector.Stats())...)
 		}
 		if src.Campaign != nil {
-			writeCampaignMetrics(&b, src.Campaign)
+			fams = append(fams, campaignFamilies(src.Campaign)...)
 		}
 		if src.Coordinator != nil {
-			writeCoordinatorMetrics(&b, src.Coordinator)
+			fams = append(fams, coordinatorFamilies(src.Coordinator)...)
 		}
 		if src.Control != nil {
-			writeControlMetrics(&b, src.Control)
+			fams = append(fams, controlFamilies(src.Control.Stats())...)
 		}
 		if src.Registry != nil {
-			writeRegistryMetrics(&b, src.Registry)
+			fams = append(fams, registryFamilies(src.Registry.Stats())...)
 		}
 		if len(src.Engines) > 0 {
-			writePolicyEngineMetrics(&b, src.Engines)
+			fams = append(fams, engineFamilies(src.Engines)...)
+		}
+		var b strings.Builder
+		for i := range fams {
+			fams[i].write(&b)
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		fmt.Fprint(w, b.String())
 	})
+}
+
+// Metric types of the text exposition format.
+const (
+	counter   = "counter"
+	gauge     = "gauge"
+	histogram = "histogram"
+)
+
+// A family is one metric family of the exposition: the name, type and
+// help text of its HELP and TYPE lines, then its samples in order. A
+// family without samples still exports its HELP and TYPE lines.
+type family struct {
+	name, typ, help string
+	samples         []sample
+}
+
+// A sample is one line of a family: the suffix after the family's name
+// (a histogram's _bucket, _sum or _count), label name/value pairs, and
+// the value, printed with %v (so a float64 prints as %g).
+type sample struct {
+	suffix string
+	labels []string
+	value  any
+}
+
+// scalar returns a family of one unlabelled sample.
+func scalar(name, typ, help string, value any) family {
+	return family{name: name, typ: typ, help: help, samples: []sample{{value: value}}}
+}
+
+// add appends a sample with the given label name/value pairs.
+func (f *family) add(value any, labels ...string) {
+	f.samples = append(f.samples, sample{labels: labels, value: value})
+}
+
+// addNonzero appends, for each nonzero counts[i], a sample labelled
+// function=fn and label=names[i].
+func (f *family) addNonzero(fn, label string, names []string, counts []uint64) {
+	for i, n := range counts {
+		if n != 0 {
+			f.add(n, "function", fn, label, names[i])
+		}
+	}
+}
+
+// addHistogram appends a log2 histogram (gen.HistBuckets buckets) in the
+// format's cumulative encoding: a _bucket line per bucket a sample
+// landed in, the +Inf line (which also covers the unbounded last
+// bucket), then _sum and _count.
+func (f *family) addHistogram(hist []uint64, sum int64, labels ...string) {
+	bucket := func(le string, n uint64) {
+		f.samples = append(f.samples, sample{"_bucket", append(slices.Clip(labels), "le", le), n})
+	}
+	var cum uint64
+	for i, c := range hist {
+		cum += c
+		if c != 0 && i != gen.HistBuckets-1 {
+			bucket(strconv.FormatInt(gen.HistUpperNS(i), 10), cum)
+		}
+	}
+	bucket("+Inf", cum)
+	f.samples = append(f.samples, sample{"_sum", labels, sum}, sample{"_count", labels, cum})
+}
+
+// write renders the family in the text exposition format.
+func (f *family) write(b *strings.Builder) {
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+	for _, s := range f.samples {
+		b.WriteString(f.name)
+		b.WriteString(s.suffix)
+		sep := "{"
+		for i := 0; i < len(s.labels); i += 2 {
+			b.WriteString(sep + s.labels[i] + "=" + promLabel(s.labels[i+1]))
+			sep = ","
+		}
+		if len(s.labels) > 0 {
+			b.WriteByte('}')
+		}
+		fmt.Fprintf(b, " %v\n", s.value)
+	}
 }
 
 // labelEscaper applies the text exposition format's only three label
@@ -107,249 +194,142 @@ var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 // are not valid in the format and fail the whole scrape.
 func promLabel(s string) string { return `"` + labelEscaper.Replace(s) + `"` }
 
-// sortedFuncs returns the aggregate's function names in stable order.
-func sortedFuncs(agg *collect.FleetAggregate) []string {
-	names := make([]string, 0, len(agg.Funcs))
-	for fn := range agg.Funcs {
-		names = append(names, fn)
+// aggregateFamilies exports the fleet profile aggregate, functions in
+// name order.
+func aggregateFamilies(agg *collect.FleetAggregate) []family {
+	calls := family{name: "healers_calls_total", typ: counter, help: "Calls intercepted per wrapped function, fleet-wide."}
+	latency := family{name: "healers_latency_ns", typ: histogram, help: "Per-call wall time of wrapped functions, log2-bucketed at capture."}
+	errnos := family{name: "healers_errno_total", typ: counter, help: "Calls that set errno, per function and errno name."}
+	checks := family{name: "healers_check_outcome_total", typ: counter, help: "Wrapper check outcomes per function: passed, denied, or substituted."}
+	containment := family{name: "healers_containment_total", typ: counter, help: "Fault-containment events per function: contained faults, retry attempts, breaker trips."}
+	classes := family{name: "healers_containment_class_total", typ: counter, help: "Contained faults per function and failure class."}
+	for _, fn := range slices.Sorted(maps.Keys(agg.Funcs)) {
+		fa := agg.Funcs[fn]
+		calls.add(fa.Calls, "function", fn)
+		if fa.Hist != nil {
+			latency.addHistogram(fa.Hist, fa.ExecNS, "function", fn)
+		}
+		for _, e := range slices.Sorted(maps.Keys(fa.Errnos)) {
+			errnos.add(fa.Errnos[e], "function", fn, "errno", e)
+		}
+		checks.addNonzero(fn, "outcome", []string{"passed", "denied", "substituted"},
+			[]uint64{fa.Passed, fa.Denied, fa.Substituted})
+		containment.addNonzero(fn, "event", []string{"contained", "retried", "breaker_trips"},
+			[]uint64{fa.Contained, fa.Retried, fa.BreakerTrips})
+		for c, n := range fa.ContainedBy {
+			if n != 0 {
+				classes.add(n, "function", fn, "class", gen.FailureClass(c).String())
+			}
+		}
 	}
-	sort.Strings(names)
-	return names
+	outcomes := family{name: "healers_outcome_total", typ: counter, help: "Fault-sequence run outcomes by class, plus per-function silent corruptions from profiles."}
+	for _, class := range slices.Sorted(maps.Keys(agg.Outcomes)) {
+		outcomes.add(agg.Outcomes[class], "class", class)
+	}
+	return []family{calls, latency, errnos, checks, containment, classes, outcomes,
+		scalar("healers_overflows_total", counter, "Canary and bound violations detected fleet-wide.", agg.Overflows)}
 }
 
-func writeProfileMetrics(b *strings.Builder, col *collect.Server) {
-	agg := col.Aggregate()
-	names := sortedFuncs(agg)
-
-	b.WriteString("# HELP healers_calls_total Calls intercepted per wrapped function, fleet-wide.\n")
-	b.WriteString("# TYPE healers_calls_total counter\n")
-	for _, fn := range names {
-		fmt.Fprintf(b, "healers_calls_total{function=%s} %d\n", promLabel(fn), agg.Funcs[fn].Calls)
+// ingestFamilies exports the collector's ingest counters.
+func ingestFamilies(st collect.Stats) []family {
+	return []family{
+		scalar("healers_ingest_docs_received_total", counter, "Documents stored and aggregated.", st.DocsReceived),
+		scalar("healers_ingest_bytes_received_total", counter, "Raw XML bytes of stored documents.", st.BytesReceived),
+		scalar("healers_ingest_docs_rejected_total", counter, "Unknown kinds and unparseable profiles.", st.DocsRejected),
+		scalar("healers_ingest_frames_rejected_total", counter, "Bad lengths, truncated or timed-out frame bodies.", st.FramesRejected),
+		scalar("healers_ingest_docs_evicted_total", counter, "Documents dropped by the retention budget.", st.DocsEvicted),
+		scalar("healers_ingest_conns_accepted_total", counter, "Upload connections admitted to a handler.", st.ConnsAccepted),
+		scalar("healers_ingest_conns_rejected_total", counter, "Upload connections closed by the connection cap.", st.ConnsRejected),
+		scalar("healers_ingest_docs_retained", gauge, "Documents currently held.", st.DocsRetained),
+		scalar("healers_ingest_active_conns", gauge, "Upload connections currently served.", st.ActiveConns),
 	}
-
-	b.WriteString("# HELP healers_latency_ns Per-call wall time of wrapped functions, log2-bucketed at capture.\n")
-	b.WriteString("# TYPE healers_latency_ns histogram\n")
-	for _, fn := range names {
-		fa := agg.Funcs[fn]
-		if fa.Hist == nil {
-			continue
-		}
-		var cum uint64
-		for i, c := range fa.Hist {
-			cum += c
-			// The cumulative encoding only changes where a sample
-			// landed; emit those boundaries and let the final +Inf
-			// line cover everything else (including the unbounded
-			// last bucket).
-			if c == 0 || i == gen.HistBuckets-1 {
-				continue
-			}
-			fmt.Fprintf(b, "healers_latency_ns_bucket{function=%s,le=\"%d\"} %d\n", promLabel(fn), gen.HistUpperNS(i), cum)
-		}
-		total := gen.HistTotal(fa.Hist)
-		fmt.Fprintf(b, "healers_latency_ns_bucket{function=%s,le=\"+Inf\"} %d\n", promLabel(fn), total)
-		fmt.Fprintf(b, "healers_latency_ns_sum{function=%s} %d\n", promLabel(fn), fa.ExecNS)
-		fmt.Fprintf(b, "healers_latency_ns_count{function=%s} %d\n", promLabel(fn), total)
-	}
-
-	b.WriteString("# HELP healers_errno_total Calls that set errno, per function and errno name.\n")
-	b.WriteString("# TYPE healers_errno_total counter\n")
-	for _, fn := range names {
-		fa := agg.Funcs[fn]
-		errnos := make([]string, 0, len(fa.Errnos))
-		for e := range fa.Errnos {
-			errnos = append(errnos, e)
-		}
-		sort.Strings(errnos)
-		for _, e := range errnos {
-			fmt.Fprintf(b, "healers_errno_total{function=%s,errno=%s} %d\n", promLabel(fn), promLabel(e), fa.Errnos[e])
-		}
-	}
-
-	b.WriteString("# HELP healers_check_outcome_total Wrapper check outcomes per function: passed, denied, or substituted.\n")
-	b.WriteString("# TYPE healers_check_outcome_total counter\n")
-	for _, fn := range names {
-		fa := agg.Funcs[fn]
-		for _, oc := range []struct {
-			name  string
-			count uint64
-		}{{"passed", fa.Passed}, {"denied", fa.Denied}, {"substituted", fa.Substituted}} {
-			if oc.count == 0 {
-				continue
-			}
-			fmt.Fprintf(b, "healers_check_outcome_total{function=%s,outcome=%s} %d\n", promLabel(fn), promLabel(oc.name), oc.count)
-		}
-	}
-
-	b.WriteString("# HELP healers_containment_total Fault-containment events per function: contained faults, retry attempts, breaker trips.\n")
-	b.WriteString("# TYPE healers_containment_total counter\n")
-	for _, fn := range names {
-		fa := agg.Funcs[fn]
-		for _, ev := range []struct {
-			name  string
-			count uint64
-		}{{"contained", fa.Contained}, {"retried", fa.Retried}, {"breaker_trips", fa.BreakerTrips}} {
-			if ev.count == 0 {
-				continue
-			}
-			fmt.Fprintf(b, "healers_containment_total{function=%s,event=%s} %d\n", promLabel(fn), promLabel(ev.name), ev.count)
-		}
-	}
-
-	b.WriteString("# HELP healers_containment_class_total Contained faults per function and failure class.\n")
-	b.WriteString("# TYPE healers_containment_class_total counter\n")
-	for _, fn := range names {
-		fa := agg.Funcs[fn]
-		for c, count := range fa.ContainedBy {
-			if count == 0 {
-				continue
-			}
-			fmt.Fprintf(b, "healers_containment_class_total{function=%s,class=%s} %d\n",
-				promLabel(fn), promLabel(gen.FailureClass(c).String()), count)
-		}
-	}
-
-	b.WriteString("# HELP healers_outcome_total Fault-sequence run outcomes by class, plus per-function silent corruptions from profiles.\n")
-	b.WriteString("# TYPE healers_outcome_total counter\n")
-	classes := make([]string, 0, len(agg.Outcomes))
-	for class := range agg.Outcomes {
-		classes = append(classes, class)
-	}
-	sort.Strings(classes)
-	for _, class := range classes {
-		fmt.Fprintf(b, "healers_outcome_total{class=%s} %d\n", promLabel(class), agg.Outcomes[class])
-	}
-
-	b.WriteString("# HELP healers_overflows_total Canary and bound violations detected fleet-wide.\n")
-	b.WriteString("# TYPE healers_overflows_total counter\n")
-	fmt.Fprintf(b, "healers_overflows_total %d\n", agg.Overflows)
 }
 
-func writeIngestMetrics(b *strings.Builder, col *collect.Server) {
-	st := col.Stats()
-	for _, m := range []struct {
-		name, help string
-		value      uint64
-	}{
-		{"healers_ingest_docs_received_total", "Documents stored and aggregated.", st.DocsReceived},
-		{"healers_ingest_bytes_received_total", "Raw XML bytes of stored documents.", st.BytesReceived},
-		{"healers_ingest_docs_rejected_total", "Unknown kinds and unparseable profiles.", st.DocsRejected},
-		{"healers_ingest_frames_rejected_total", "Bad lengths, truncated or timed-out frame bodies.", st.FramesRejected},
-		{"healers_ingest_docs_evicted_total", "Documents dropped by the retention budget.", st.DocsEvicted},
-		{"healers_ingest_conns_accepted_total", "Upload connections admitted to a handler.", st.ConnsAccepted},
-		{"healers_ingest_conns_rejected_total", "Upload connections closed by the connection cap.", st.ConnsRejected},
-	} {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", m.name, m.help, m.name, m.name, m.value)
+// campaignFamilies exports campaign throughput: cumulative counters, and
+// the latest run's gauges once a campaign has completed.
+func campaignFamilies(camp *CampaignMetrics) []family {
+	runs, probes, last, seen := camp.snapshot()
+	fams := []family{
+		scalar("healers_campaign_runs_total", counter, "Fault-injection campaigns completed.", runs),
+		scalar("healers_campaign_probes_total", counter, "Probe processes executed across all campaigns.", probes),
 	}
-	fmt.Fprintf(b, "# HELP healers_ingest_docs_retained Documents currently held.\n# TYPE healers_ingest_docs_retained gauge\nhealers_ingest_docs_retained %d\n", st.DocsRetained)
-	fmt.Fprintf(b, "# HELP healers_ingest_active_conns Upload connections currently served.\n# TYPE healers_ingest_active_conns gauge\nhealers_ingest_active_conns %d\n", st.ActiveConns)
+	if !seen {
+		return fams
+	}
+	return append(fams,
+		scalar("healers_campaign_workers", gauge, "Worker pool size of the most recent campaign.", last.Workers),
+		scalar("healers_campaign_probes_per_second", gauge, "Throughput of the most recent campaign.", last.ProbesPerSec),
+		scalar("healers_campaign_utilization", gauge, "Worker utilization of the most recent campaign (1.0 = no idle).", last.Utilization),
+	)
 }
 
-// writeCoordinatorMetrics renders a distributed campaign's lease table
-// and per-worker throughput, so a long sweep across a worker fleet is
+// coordinatorFamilies exports a distributed campaign's lease table and
+// per-worker throughput, so a long sweep across a worker fleet is
 // observable while it runs.
-func writeCoordinatorMetrics(b *strings.Builder, co *inject.Coordinator) {
+func coordinatorFamilies(co *inject.Coordinator) []family {
 	workers := co.WorkerStats()
 	shards := co.Shards()
-
-	fmt.Fprintf(b, "# HELP healers_coordinator_workers Worker processes seen by the coordinator.\n# TYPE healers_coordinator_workers gauge\nhealers_coordinator_workers %d\n", len(workers))
-	fmt.Fprintf(b, "# HELP healers_coordinator_funcs_remaining Functions still lacking a result.\n# TYPE healers_coordinator_funcs_remaining gauge\nhealers_coordinator_funcs_remaining %d\n", co.Remaining())
-
-	b.WriteString("# HELP healers_coordinator_shards Lease-table population by state.\n# TYPE healers_coordinator_shards gauge\n")
-	for _, st := range []struct {
-		name  string
-		count int
-	}{{"pending", shards.Pending}, {"leased", shards.Leased}, {"done", shards.Done}} {
-		fmt.Fprintf(b, "healers_coordinator_shards{state=%s} %d\n", promLabel(st.name), st.count)
-	}
-	fmt.Fprintf(b, "# HELP healers_coordinator_releases_total Shards re-leased after a lease timeout.\n# TYPE healers_coordinator_releases_total counter\nhealers_coordinator_releases_total %d\n", shards.Releases)
-	fmt.Fprintf(b, "# HELP healers_coordinator_stragglers_total Speculative duplicate leases past the straggler deadline.\n# TYPE healers_coordinator_stragglers_total counter\nhealers_coordinator_stragglers_total %d\n", shards.Stragglers)
-
-	b.WriteString("# HELP healers_coordinator_worker_funcs_total Accepted function results per worker.\n# TYPE healers_coordinator_worker_funcs_total counter\n")
+	states := family{name: "healers_coordinator_shards", typ: gauge, help: "Lease-table population by state."}
+	states.add(shards.Pending, "state", "pending")
+	states.add(shards.Leased, "state", "leased")
+	states.add(shards.Done, "state", "done")
+	funcs := family{name: "healers_coordinator_worker_funcs_total", typ: counter, help: "Accepted function results per worker."}
+	probes := family{name: "healers_coordinator_worker_probes_total", typ: counter, help: "Probes behind each worker's accepted results."}
+	busy := family{name: "healers_coordinator_worker_busy_seconds_total", typ: counter, help: "Worker-reported probing wall time."}
 	for _, ws := range workers {
-		fmt.Fprintf(b, "healers_coordinator_worker_funcs_total{worker=%s} %d\n", promLabel(ws.Name), ws.Funcs)
+		funcs.add(ws.Funcs, "worker", ws.Name)
+		probes.add(ws.Probes, "worker", ws.Name)
+		busy.add(ws.Busy.Seconds(), "worker", ws.Name)
 	}
-	b.WriteString("# HELP healers_coordinator_worker_probes_total Probes behind each worker's accepted results.\n# TYPE healers_coordinator_worker_probes_total counter\n")
-	for _, ws := range workers {
-		fmt.Fprintf(b, "healers_coordinator_worker_probes_total{worker=%s} %d\n", promLabel(ws.Name), ws.Probes)
-	}
-	b.WriteString("# HELP healers_coordinator_worker_busy_seconds_total Worker-reported probing wall time.\n# TYPE healers_coordinator_worker_busy_seconds_total counter\n")
-	for _, ws := range workers {
-		fmt.Fprintf(b, "healers_coordinator_worker_busy_seconds_total{worker=%s} %g\n", promLabel(ws.Name), ws.Busy.Seconds())
+	return []family{
+		scalar("healers_coordinator_workers", gauge, "Worker processes seen by the coordinator.", len(workers)),
+		scalar("healers_coordinator_funcs_remaining", gauge, "Functions still lacking a result.", co.Remaining()),
+		states,
+		scalar("healers_coordinator_releases_total", counter, "Shards re-leased after a lease timeout.", shards.Releases),
+		scalar("healers_coordinator_stragglers_total", counter, "Speculative duplicate leases past the straggler deadline.", shards.Stragglers),
+		funcs, probes, busy,
 	}
 }
 
-// writeControlMetrics renders the control plane's policy-distribution
+// controlFamilies exports the control plane's policy-distribution
 // counters.
-func writeControlMetrics(b *strings.Builder, cp *collect.ControlPlane) {
-	st := cp.Stats()
-	fmt.Fprintf(b, "# HELP healers_control_policy_revision Policy revision the control plane currently serves (0 = none).\n# TYPE healers_control_policy_revision gauge\nhealers_control_policy_revision %d\n", st.Revision)
-	for _, m := range []struct {
-		name, help string
-		value      uint64
-	}{
-		{"healers_control_policy_pushes_total", "Policy documents accepted by the control plane.", st.Pushes},
-		{"healers_control_policy_rejected_total", "Policy pushes refused (malformed, unstamped, corrupted, or stale).", st.Rejected},
-		{"healers_control_policy_served_total", "Full policy documents served to polling subscribers.", st.Served},
-		{"healers_control_policy_not_modified_total", "Policy requests answered already-current.", st.NotModified},
-		{"healers_control_escalations_total", "Rules tightened by adaptive derivation.", st.Escalations},
-	} {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", m.name, m.help, m.name, m.name, m.value)
+func controlFamilies(st collect.ControlStats) []family {
+	return []family{
+		scalar("healers_control_policy_revision", gauge, "Policy revision the control plane currently serves (0 = none).", st.Revision),
+		scalar("healers_control_policy_pushes_total", counter, "Policy documents accepted by the control plane.", st.Pushes),
+		scalar("healers_control_policy_rejected_total", counter, "Policy pushes refused (malformed, unstamped, corrupted, or stale).", st.Rejected),
+		scalar("healers_control_policy_served_total", counter, "Full policy documents served to polling subscribers.", st.Served),
+		scalar("healers_control_policy_not_modified_total", counter, "Policy requests answered already-current.", st.NotModified),
+		scalar("healers_control_escalations_total", counter, "Rules tightened by adaptive derivation.", st.Escalations),
 	}
 }
 
-// writeRegistryMetrics renders the campaign-cache registry's occupancy
-// and exchange counters.
-func writeRegistryMetrics(b *strings.Builder, reg *collect.Registry) {
-	st := reg.Stats()
-	fmt.Fprintf(b, "# HELP healers_registry_entries Campaign-cache entries currently stored.\n# TYPE healers_registry_entries gauge\nhealers_registry_entries %d\n", st.Entries)
-	fmt.Fprintf(b, "# HELP healers_registry_bytes Stored XML bytes of all registry entries.\n# TYPE healers_registry_bytes gauge\nhealers_registry_bytes %d\n", st.Bytes)
-	for _, m := range []struct {
-		name, help string
-		value      uint64
-	}{
-		{"healers_registry_hits_total", "Get keys answered with a stored entry.", st.Hits},
-		{"healers_registry_misses_total", "Get keys the registry did not hold.", st.Misses},
-		{"healers_registry_puts_total", "Entries stored by put exchanges.", st.Puts},
-		{"healers_registry_known_total", "Put entries already held (first write wins).", st.Known},
-		{"healers_registry_rejected_total", "Put frames refused: malformed, unstamped, or checksum-mismatched.", st.Rejected},
-		{"healers_registry_evicted_total", "Entries dropped by the doc/byte budgets.", st.Evicted},
-		{"healers_registry_corrupt_total", "Stored files discarded at load for failing validation.", st.Corrupt},
-	} {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", m.name, m.help, m.name, m.name, m.value)
+// registryFamilies exports the campaign-cache registry's occupancy and
+// exchange counters.
+func registryFamilies(st collect.RegistryStats) []family {
+	return []family{
+		scalar("healers_registry_entries", gauge, "Campaign-cache entries currently stored.", st.Entries),
+		scalar("healers_registry_bytes", gauge, "Stored XML bytes of all registry entries.", st.Bytes),
+		scalar("healers_registry_hits_total", counter, "Get keys answered with a stored entry.", st.Hits),
+		scalar("healers_registry_misses_total", counter, "Get keys the registry did not hold.", st.Misses),
+		scalar("healers_registry_puts_total", counter, "Entries stored by put exchanges.", st.Puts),
+		scalar("healers_registry_known_total", counter, "Put entries already held (first write wins).", st.Known),
+		scalar("healers_registry_rejected_total", counter, "Put frames refused: malformed, unstamped, or checksum-mismatched.", st.Rejected),
+		scalar("healers_registry_evicted_total", counter, "Entries dropped by the doc/byte budgets.", st.Evicted),
+		scalar("healers_registry_corrupt_total", counter, "Stored files discarded at load for failing validation.", st.Corrupt),
 	}
 }
 
-// writePolicyEngineMetrics renders each local policy engine's
-// hot-reload counters, labeled by the caller-chosen engine name.
-func writePolicyEngineMetrics(b *strings.Builder, engines map[string]*wrappers.PolicyEngine) {
-	names := make([]string, 0, len(engines))
-	for n := range engines {
-		names = append(names, n)
+// engineFamilies exports each local policy engine's hot-reload
+// counters, labelled by the caller-chosen engine name.
+func engineFamilies(engines map[string]*wrappers.PolicyEngine) []family {
+	revision := family{name: "healers_policy_revision", typ: gauge, help: "Policy revision each engine currently runs."}
+	reloads := family{name: "healers_policy_reloads_total", typ: counter, help: "Rule-set hot swaps each engine has applied."}
+	rejected := family{name: "healers_policy_reload_rejected_total", typ: counter, help: "Reload attempts each engine refused, old rules kept."}
+	for _, n := range slices.Sorted(maps.Keys(engines)) {
+		revision.add(engines[n].Revision(), "engine", n)
+		reloads.add(engines[n].Reloads(), "engine", n)
+		rejected.add(engines[n].RejectedReloads(), "engine", n)
 	}
-	sort.Strings(names)
-	b.WriteString("# HELP healers_policy_revision Policy revision each engine currently runs.\n# TYPE healers_policy_revision gauge\n")
-	for _, n := range names {
-		fmt.Fprintf(b, "healers_policy_revision{engine=%s} %d\n", promLabel(n), engines[n].Revision())
-	}
-	b.WriteString("# HELP healers_policy_reloads_total Rule-set hot swaps each engine has applied.\n# TYPE healers_policy_reloads_total counter\n")
-	for _, n := range names {
-		fmt.Fprintf(b, "healers_policy_reloads_total{engine=%s} %d\n", promLabel(n), engines[n].Reloads())
-	}
-	b.WriteString("# HELP healers_policy_reload_rejected_total Reload attempts each engine refused, old rules kept.\n# TYPE healers_policy_reload_rejected_total counter\n")
-	for _, n := range names {
-		fmt.Fprintf(b, "healers_policy_reload_rejected_total{engine=%s} %d\n", promLabel(n), engines[n].RejectedReloads())
-	}
-}
-
-func writeCampaignMetrics(b *strings.Builder, camp *CampaignMetrics) {
-	runs, probes, last, seen := camp.snapshot()
-	fmt.Fprintf(b, "# HELP healers_campaign_runs_total Fault-injection campaigns completed.\n# TYPE healers_campaign_runs_total counter\nhealers_campaign_runs_total %d\n", runs)
-	fmt.Fprintf(b, "# HELP healers_campaign_probes_total Probe processes executed across all campaigns.\n# TYPE healers_campaign_probes_total counter\nhealers_campaign_probes_total %d\n", probes)
-	if !seen {
-		return
-	}
-	fmt.Fprintf(b, "# HELP healers_campaign_workers Worker pool size of the most recent campaign.\n# TYPE healers_campaign_workers gauge\nhealers_campaign_workers %d\n", last.Workers)
-	fmt.Fprintf(b, "# HELP healers_campaign_probes_per_second Throughput of the most recent campaign.\n# TYPE healers_campaign_probes_per_second gauge\nhealers_campaign_probes_per_second %g\n", last.ProbesPerSec)
-	fmt.Fprintf(b, "# HELP healers_campaign_utilization Worker utilization of the most recent campaign (1.0 = no idle).\n# TYPE healers_campaign_utilization gauge\nhealers_campaign_utilization %g\n", last.Utilization)
+	return []family{revision, reloads, rejected}
 }

@@ -16,8 +16,12 @@ import (
 	"healers/internal/xmlrep"
 )
 
-// metricsGolden pins the whole /metrics exposition of goldenSources.
-const metricsGolden = "testdata/metrics.golden"
+// metricsGolden pins the whole /metrics exposition of goldenSources;
+// metricsEmptyGolden pins that of emptySources.
+const (
+	metricsGolden      = "testdata/metrics.golden"
+	metricsEmptyGolden = "testdata/metrics_empty.golden"
+)
 
 // uploadAndSettle uploads docs to col and waits until every one is
 // stored and no upload connection is still being served, so the ingest
@@ -92,15 +96,7 @@ func goldenSources(t *testing.T) MetricsSources {
 	camp := &CampaignMetrics{}
 	camp.Sink()(&inject.CampaignStats{Workers: 2, Probes: 816, ProbesPerSec: 20480.5, Utilization: 0.75})
 
-	sys := simelf.NewSystem()
-	if err := sys.AddLibrary(clib.MustRegistry().AsLibrary()); err != nil {
-		t.Fatal(err)
-	}
-	c, err := inject.New(sys, clib.LibcSoname)
-	if err != nil {
-		t.Fatal(err)
-	}
-	co := inject.NewCoordinator(c, 4)
+	co := newCoordinator(t)
 
 	policy := xmlrep.NewPolicyDoc(0, 0, []xmlrep.PolicyRuleXML{{Func: "strcpy", Action: "deny"}})
 	policy.Stamp(3)
@@ -136,16 +132,58 @@ func goldenSources(t *testing.T) MetricsSources {
 	}
 }
 
-// TestMetricsGolden: the full exposition of a fixture covering every
-// writer is byte-identical to the checked-in golden file.
-func TestMetricsGolden(t *testing.T) {
+// newCoordinator builds a coordinator over the libc campaign with no
+// worker attached.
+func newCoordinator(t *testing.T) *inject.Coordinator {
+	t.Helper()
+	sys := simelf.NewSystem()
+	if err := sys.AddLibrary(clib.MustRegistry().AsLibrary()); err != nil {
+		t.Fatal(err)
+	}
+	c, err := inject.New(sys, clib.LibcSoname)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inject.NewCoordinator(c, 4)
+}
+
+// emptySources builds sources that have seen nothing yet: a fresh
+// collector, campaign metrics before any campaign, and a coordinator no
+// worker has joined.
+func emptySources(t *testing.T) MetricsSources {
+	t.Helper()
+	col, err := collect.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { col.Close() })
+	return MetricsSources{Collector: col, Campaign: &CampaignMetrics{}, Coordinator: newCoordinator(t)}
+}
+
+// checkGolden serves one scrape of src and compares it with the golden
+// file at path byte for byte.
+func checkGolden(t *testing.T, src MetricsSources, path string) {
+	t.Helper()
 	rec := httptest.NewRecorder()
-	MetricsHandlerFor(goldenSources(t)).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	want, err := os.ReadFile(metricsGolden)
+	MetricsHandlerFor(src).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := rec.Body.String(); got != string(want) {
-		t.Errorf("/metrics differs from %s:\n%s", metricsGolden, got)
+		t.Errorf("/metrics differs from %s:\n%s", path, got)
 	}
+}
+
+// TestMetricsGolden: the full exposition of a fixture covering every
+// source is byte-identical to the checked-in golden file.
+func TestMetricsGolden(t *testing.T) {
+	checkGolden(t, goldenSources(t), metricsGolden)
+}
+
+// TestMetricsGoldenEmpty: sources that have seen nothing still export
+// every family's HELP and TYPE lines, and their unlabelled samples at
+// zero.
+func TestMetricsGoldenEmpty(t *testing.T) {
+	checkGolden(t, emptySources(t), metricsEmptyGolden)
 }

@@ -75,11 +75,11 @@ func TestProfileLogObservabilityRoundTrip(t *testing.T) {
 	st.FuncErrno[idx][2] = 4 // ENOENT
 	st.GlobalErrno[2] = 4
 
-	st.SetTraceCap(8)
-	st.AddTrace(gen.TraceEntry{Func: "strlen", Args: "0x1000", Dur: 42 * time.Nanosecond, Outcome: "ok"})
-	st.AddTrace(gen.TraceEntry{Func: "open", Args: "0x2000, 0x0", Dur: 99 * time.Nanosecond, Outcome: "errno=ENOENT"})
-
 	orig := NewProfileLog("host-a", "textutil", st)
+	orig.Trace = &TraceXML{Calls: []TraceEntryXML{
+		{Seq: 1, Func: "strlen", Args: "0x1000", DurNS: 42, Outcome: "ok"},
+		{Seq: 2, Func: "open", Args: "0x2000, 0x0", DurNS: 99, Outcome: "errno=ENOENT"},
+	}}
 	data, err := Marshal(orig)
 	if err != nil {
 		t.Fatal(err)

@@ -615,28 +615,54 @@ type TraceXML struct {
 	Calls []TraceEntryXML `xml:"call"`
 }
 
-// FuncProfile is one wrapped function's statistics in a profile log. The
-// observability fields (Passed, Substituted, Latency) are optional: a
-// document emitted before they existed unmarshals with zero values, and a
-// reader that predates them ignores the extra attributes and elements —
-// both directions stay compatible without a schema version bump.
-type FuncProfile struct {
-	Name        string `xml:"name,attr"`
-	Calls       uint64 `xml:"calls,attr"`
-	ExecNS      int64  `xml:"exec_ns,attr"`
+// FuncCounters are a wrapped function's scalar counters, declared once
+// for the profile document and the collector's fleet aggregate. Every
+// counter after ExecNS is omitted from a document while it is zero, so
+// documents from before it existed parse with it at zero, readers that
+// predate it ignore it, and idle documents stay byte-identical to theirs.
+type FuncCounters struct {
+	// Calls is the call count; ExecNS the time spent in the function,
+	// nanoseconds.
+	Calls  uint64 `xml:"calls,attr"`
+	ExecNS int64  `xml:"exec_ns,attr"`
+	// Denied counts calls vetoed by a checking micro-generator, Passed
+	// calls that cleared every installed check, Substituted calls routed
+	// through a bounded substitution.
 	Denied      uint64 `xml:"denied,attr,omitempty"`
 	Passed      uint64 `xml:"passed,attr,omitempty"`
 	Substituted uint64 `xml:"substituted,attr,omitempty"`
-	// Containment counters (omitempty like the observability fields, so
-	// pre-containment readers and the compat golden stay unaffected).
+	// Contained counts faults caught and virtualized by the containment
+	// wrapper, Retried its policy-issued retry attempts, BreakerTrips
+	// its circuit-breaker trips.
 	Contained    uint64 `xml:"contained,attr,omitempty"`
 	Retried      uint64 `xml:"retried,attr,omitempty"`
 	BreakerTrips uint64 `xml:"breaker_trips,attr,omitempty"`
-	// SilentCorrupt counts runs where this function's call completed
-	// with a success status but the journal diff showed committed state
-	// diverging from the golden run (omitempty: pre-sequence documents
-	// and the compat golden stay byte-identical).
+	// SilentCorrupt counts runs where the function's call completed with
+	// a success status but the journal diff showed committed state
+	// diverging from the golden run.
 	SilentCorrupt uint64 `xml:"silent_corruption,attr,omitempty"`
+}
+
+// Add adds o's counters to c.
+func (c *FuncCounters) Add(o FuncCounters) {
+	c.Calls += o.Calls
+	c.ExecNS += o.ExecNS
+	c.Denied += o.Denied
+	c.Passed += o.Passed
+	c.Substituted += o.Substituted
+	c.Contained += o.Contained
+	c.Retried += o.Retried
+	c.BreakerTrips += o.BreakerTrips
+	c.SilentCorrupt += o.SilentCorrupt
+}
+
+// FuncProfile is one wrapped function's statistics in a profile log.
+// Its counters' attributes follow name in FuncCounters' field order. The
+// optional elements (ContainedBy, Latency) are absent from documents
+// that predate them, and readers that predate them ignore them.
+type FuncProfile struct {
+	Name string `xml:"name,attr"`
+	FuncCounters
 	// ContainedBy splits Contained per failure class (empty when the
 	// function never contained a fault, so old documents stay
 	// byte-identical).
@@ -698,8 +724,7 @@ func NewProfileLog(host, app string, st *gen.State) *ProfileLog {
 		Overflows: st.Overflows,
 	}
 	for i, name := range st.FuncNames() {
-		fp := FuncProfile{
-			Name:          name,
+		fp := FuncProfile{Name: name, FuncCounters: FuncCounters{
 			Calls:         st.CallCount[i],
 			ExecNS:        st.ExecTime[i].Nanoseconds(),
 			Denied:        st.DeniedCount[i],
@@ -709,7 +734,7 @@ func NewProfileLog(host, app string, st *gen.State) *ProfileLog {
 			Retried:       st.RetriedCount[i],
 			BreakerTrips:  st.BreakerTrips[i],
 			SilentCorrupt: st.CorruptionCount[i],
-		}
+		}}
 		for c, cnt := range st.ContainedByClass[i] {
 			if cnt > 0 {
 				fp.ContainedBy = append(fp.ContainedBy, ClassCount{
