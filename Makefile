@@ -32,13 +32,20 @@ ci-check:
 # Every native fuzz target for 10 s each (go test fuzzes one target per
 # run). Plain `go test` already runs their checked-in seed corpora; a
 # failing input lands in the package's testdata/fuzz directory.
+# Minimizing a new interesting input is bounded to 100 runs: unbounded,
+# the fuzzer minimizes each one for up to 60 s with a search quadratic in
+# its length, and a few inputs of a few hundred bytes kept both workers
+# busy for most of a session.
+FUZZ = go test -run '^$$' -fuzztime 10s -fuzzminimizetime 100x
 fuzz:
-	go test -run '^$$' -fuzz '^FuzzKind$$' -fuzztime 10s ./internal/xmlrep
-	go test -run '^$$' -fuzz '^FuzzProfileDecode$$' -fuzztime 10s ./internal/xmlrep
-	go test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime 10s ./internal/collect
-	go test -run '^$$' -fuzz '^FuzzSpanAccess$$' -fuzztime 10s ./internal/cmem
-	go test -run '^$$' -fuzz '^FuzzParseChaos$$' -fuzztime 10s ./internal/cmem
-	go test -run '^$$' -fuzz '^FuzzParseHeader$$' -fuzztime 10s ./internal/cheader
+	$(FUZZ) -fuzz '^FuzzKind$$' ./internal/xmlrep
+	$(FUZZ) -fuzz '^FuzzProfileDecode$$' ./internal/xmlrep
+	$(FUZZ) -fuzz '^FuzzProfileEncode$$' ./internal/xmlrep
+	$(FUZZ) -fuzz '^FuzzFrame$$' ./internal/collect
+	$(FUZZ) -fuzz '^FuzzSpanAccess$$' ./internal/cmem
+	$(FUZZ) -fuzz '^FuzzParseChaos$$' ./internal/cmem
+	$(FUZZ) -fuzz '^FuzzParseHeader$$' ./internal/cheader
+	$(FUZZ) -fuzz '^FuzzPolicyApply$$' ./internal/wrappers
 
 # Full suite under the race detector, plus the chaos-soak smoke: a
 # bounded contained soak of the streaming rootd daemon that must

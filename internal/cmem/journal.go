@@ -1,10 +1,11 @@
 package cmem
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
+	"slices"
 )
 
 // Write journal: the undo log behind the containment wrapper's rollback.
@@ -147,9 +148,12 @@ func (s *Space) JournalDiff() []JournalDiffEntry {
 		}
 		diff = append(diff, JournalDiffEntry{Addr: a, Old: old, New: cur})
 	}
-	sort.Slice(diff, func(i, j int) bool { return diff[i].Addr < diff[j].Addr })
+	slices.SortFunc(diff, byAddr)
 	return diff
 }
+
+// byAddr orders diff entries by address; a diff holds each address once.
+func byAddr(a, b JournalDiffEntry) int { return cmp.Compare(a.Addr, b.Addr) }
 
 // JournalDiffDigest folds JournalDiff into a sha256 hex digest over the
 // sorted (address, new value) pairs. Two processes that committed the

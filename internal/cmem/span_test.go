@@ -5,8 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
-	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -276,7 +275,7 @@ func (r *refSpace) JournalDiff() []JournalDiffEntry {
 		}
 		diff = append(diff, JournalDiffEntry{Addr: a, Old: old, New: pg.data[a&pageMask]})
 	}
-	sort.Slice(diff, func(i, j int) bool { return diff[i].Addr < diff[j].Addr })
+	slices.SortFunc(diff, byAddr)
 	return diff
 }
 
@@ -532,10 +531,10 @@ func runSpanProgram(t *testing.T, data []byte) {
 				got, want = [2]any{gs, gfound}, [2]any{ws, wfound}
 			}
 		}
-		if !reflect.DeepEqual(gf, wf) {
+		if (gf == nil) != (wf == nil) || gf != nil && *gf != *wf {
 			t.Fatalf("step %d %s: fault %v, reference %v", step, what, gf, wf)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !sameResult(got, want) {
 			t.Fatalf("step %d %s: result %v, reference %v", step, what, got, want)
 		}
 		ctx := fmt.Sprintf("step %d %s", step, what)
@@ -545,6 +544,15 @@ func runSpanProgram(t *testing.T, data []byte) {
 		}
 	}
 	compareSpaces(t, "end of program (other clone)", sp2, ref2)
+}
+
+// sameResult compares an operation's result with the reference's: a
+// Read's bytes, or a comparable value.
+func sameResult(got, want any) bool {
+	if g, ok := got.([]byte); ok {
+		return bytes.Equal(g, want.([]byte))
+	}
+	return got == want
 }
 
 // compareSpaces checks fuel, counts, page count, every mapped byte and
@@ -586,7 +594,7 @@ func compareSpaces(t *testing.T, ctx string, sp *Space, ref *refSpace) {
 		}
 	}
 	if got, want := sp.JournalDiff(), ref.JournalDiff(); len(got) != 0 || len(want) != 0 {
-		if !reflect.DeepEqual(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("%s: JournalDiff %v, reference %v", ctx, got, want)
 		}
 	}
@@ -870,7 +878,7 @@ func TestSpanFillJournalsEveryByte(t *testing.T) {
 		t.Fatal(f)
 	}
 	want := []journalEntry{{0x10ffe, 1}, {0x10fff, 2}, {0x11000, 0}, {0x11001, 0}}
-	if !reflect.DeepEqual(sp.journal, want) {
+	if !slices.Equal(sp.journal, want) {
 		t.Fatalf("journal = %v, want %v", sp.journal, want)
 	}
 	sp.RollbackJournal()

@@ -106,6 +106,80 @@ func TestApplyXMLMalformed(t *testing.T) {
 	}
 }
 
+// fuzzProbes are the (function, class) pairs whose decisions
+// FuzzPolicyApply compares: functions the running policy names, one it
+// does not, and the empty name, under every failure class.
+var fuzzProbes = [...]string{"malloc", "strcpy", "memcpy", ""}
+
+// decisions records the engine's decision for every fuzzProbes pair.
+func decisions(e *PolicyEngine) (d [len(fuzzProbes) * gen.NumFailureClasses]gen.ContainDecision) {
+	for i, fn := range fuzzProbes {
+		for c := range gen.NumFailureClasses {
+			d[i*gen.NumFailureClasses+c] = e.Decide(fn, gen.FailureClass(c))
+		}
+	}
+	return d
+}
+
+// FuzzPolicyApply hot-reloads arbitrary bytes into an engine running a
+// stamped revision-1 policy. Nothing may panic; a rejected reload leaves
+// the revision and every decision unchanged (the very rule set) and bumps
+// RejectedReloads by exactly 1; an accepted one raises the revision to
+// the document's and must have passed xmlrep.Unmarshal and Validate.
+func FuzzPolicyApply(f *testing.F) {
+	running := &xmlrep.PolicyDoc{Rules: []xmlrep.PolicyRuleXML{
+		{Func: "malloc", Class: "crash", Action: "substitute", Value: 7},
+		{Func: "strcpy", Action: "retry", Retries: 2, BackoffMS: 5, BreakerThreshold: 1},
+		{Func: "*", Class: "hang", Action: "escalate"},
+	}}
+	running.Stamp(1)
+	newer := &xmlrep.PolicyDoc{BreakerThreshold: 3, BreakerWindowMS: 100, Rules: []xmlrep.PolicyRuleXML{
+		{Func: "memcpy", Class: "*", Action: "substitute", Value: -1},
+		{Action: "deny"},
+	}}
+	newer.Stamp(2)
+	corrupted := stampedDoc(4, "retry")
+	corrupted.Checksum = strings.Repeat("0", 64)
+	unstamped := stampedDoc(4, "retry")
+	unstamped.Checksum = ""
+	unknownAction := stampedDoc(4, "retry")
+	unknownAction.Rules[0].Action = "explode"
+	xmlrep.Seal(unknownAction)
+	for _, doc := range []any{
+		running, newer, stampedDoc(9, "deny"), stampedDoc(0, "retry"), stampedDoc(-1, "retry"),
+		corrupted, unstamped, unknownAction, &xmlrep.PolicyAck{OK: true, Revision: 2},
+	} {
+		f.Add(xmlrep.MustMarshal(doc))
+	}
+	f.Add([]byte("<healers-policy><rule"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := PolicyFromDoc(running)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := xmlrep.Unmarshal[xmlrep.PolicyDoc](data)
+		valid := err == nil && doc.Validate() == nil
+		before, rejected, reloads := decisions(e), e.RejectedReloads(), e.Reloads()
+		if err := e.ApplyXML(data); err != nil {
+			if e.Revision() != 1 || e.RejectedReloads() != rejected+1 || e.Reloads() != reloads {
+				t.Fatalf("rejected reload (%v) left revision %d, rejected %d, reloads %d; want 1, %d, %d",
+					err, e.Revision(), e.RejectedReloads(), e.Reloads(), rejected+1, reloads)
+			}
+			if decisions(e) != before {
+				t.Fatalf("rejected reload (%v) changed a decision", err)
+			}
+			return
+		}
+		if !valid {
+			t.Fatalf("reload accepted a document that Unmarshal or Validate rejects:\n%q", data)
+		}
+		if e.Revision() <= 1 || e.Revision() != doc.Revision || e.Reloads() != reloads+1 || e.RejectedReloads() != rejected {
+			t.Fatalf("accepted reload of revision %d left revision %d, reloads %d, rejected %d",
+				doc.Revision, e.Revision(), e.Reloads(), e.RejectedReloads())
+		}
+	})
+}
+
 // TestReloadKeepsBreakerState: a hot reload must not grant amnesty — a
 // function the breaker already condemned stays condemned under the new
 // rules.

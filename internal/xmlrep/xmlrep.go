@@ -723,7 +723,11 @@ func NewProfileLog(host, app string, st *gen.State) *ProfileLog {
 		Generated: timestamp(),
 		Overflows: st.Overflows,
 	}
-	for i, name := range st.FuncNames() {
+	names := st.FuncNames()
+	if len(names) > 0 {
+		log.Funcs = make([]FuncProfile, 0, len(names))
+	}
+	for i, name := range names {
 		fp := FuncProfile{Name: name, FuncCounters: FuncCounters{
 			Calls:         st.CallCount[i],
 			ExecNS:        st.ExecTime[i].Nanoseconds(),
@@ -763,17 +767,18 @@ func NewProfileLog(host, app string, st *gen.State) *ProfileLog {
 			log.Global = append(log.Global, ErrnoCount{Errno: errnoLabel(int32(e)), Count: cnt})
 		}
 	}
-	for _, t := range st.Trace() {
-		if log.Trace == nil {
-			log.Trace = &TraceXML{}
+	// An empty ring leaves the optional <trace> element out.
+	if ring := st.Trace(); len(ring) > 0 {
+		log.Trace = &TraceXML{Calls: make([]TraceEntryXML, len(ring))}
+		for i, t := range ring {
+			log.Trace.Calls[i] = TraceEntryXML{
+				Seq:     t.Seq,
+				Func:    t.Func,
+				Args:    t.Args,
+				DurNS:   t.Dur.Nanoseconds(),
+				Outcome: t.Outcome,
+			}
 		}
-		log.Trace.Calls = append(log.Trace.Calls, TraceEntryXML{
-			Seq:     t.Seq,
-			Func:    t.Func,
-			Args:    t.Args,
-			DurNS:   t.Dur.Nanoseconds(),
-			Outcome: t.Outcome,
-		})
 	}
 	return log
 }
@@ -795,13 +800,35 @@ func errnoLabel(e int32) string {
 }
 
 // Marshal renders any of the package's documents with the standard XML
-// header and indentation.
+// header and two-space indentation, ending in a newline: the bytes of
+// xml.Header + xml.MarshalIndent(doc, "", "  ") + "\n". Profile
+// documents, every profiling run's output, go through encodeProfile;
+// every other kind through encoding/xml. The caller owns the result.
 func Marshal(doc any) ([]byte, error) {
-	body, err := xml.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("xmlrep: marshal: %w", err)
+	var b []byte
+	if p, ok := doc.(*ProfileLog); ok && p != nil {
+		b = encodeProfile(p)
+	} else {
+		// MarshalIndent's encoder, writing after the header.
+		var buf bytes.Buffer
+		buf.WriteString(xml.Header)
+		enc := xml.NewEncoder(&buf)
+		enc.Indent("", "  ")
+		if err := enc.Encode(doc); err != nil {
+			return nil, fmt.Errorf("xmlrep: marshal: %w", err)
+		}
+		if err := enc.Close(); err != nil {
+			return nil, fmt.Errorf("xmlrep: marshal: %w", err)
+		}
+		buf.WriteByte('\n')
+		b = buf.Bytes()
 	}
-	return append([]byte(xml.Header), append(body, '\n')...), nil
+	// A caller may keep the document (a Spooler queues it and budgets it
+	// by length), so it gets no more spare capacity than a copy has.
+	if cap(b)-len(b) > len(b)/8 {
+		b = append([]byte(nil), b...)
+	}
+	return b, nil
 }
 
 // WriteFileAtomic replaces the file at path with data, giving it mode

@@ -66,6 +66,15 @@ func TestDeclarationsRoundTrip(t *testing.T) {
 	}
 }
 
+// checkSpare fails when Marshal's result keeps more spare capacity than
+// a copy of it would: callers may keep rendered documents.
+func checkSpare(t *testing.T, data []byte) {
+	t.Helper()
+	if c := cap(append([]byte(nil), data...)); cap(data) > max(c, len(data)+len(data)/8) {
+		t.Errorf("a %d-byte document keeps capacity %d; a copy keeps %d", len(data), cap(data), c)
+	}
+}
+
 func TestRobustAPIRoundTrip(t *testing.T) {
 	fixedNow(t)
 	api := ctypes.RobustAPI{
@@ -83,6 +92,7 @@ func TestRobustAPIRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkSpare(t, data)
 	if kind, _ := Kind(data); kind != KindRobustAPI {
 		t.Errorf("Kind = %v", kind)
 	}
