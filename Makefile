@@ -57,8 +57,10 @@ ci-race:
 	sh scripts/smoke-soak.sh
 
 # One iteration of every benchmark in every package proves the measured
-# paths still run.
+# paths still run; the benchmark harness, its own module, is vetted
+# against this checkout first.
 ci-bench-smoke:
+	(cd perfbench && GOPROXY=off go vet .)
 	go test -run '^$$' -bench . -benchtime=1x ./...
 
 # Documentation hygiene as its own job: flag/README agreement, godoc

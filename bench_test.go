@@ -576,7 +576,7 @@ func benchProfileDoc(b *testing.B) []byte {
 	b.Helper()
 	st := gen.NewState("libhealers_prof.so")
 	for i, fn := range []string{"strlen", "malloc", "free", "memcpy", "strtok", "toupper"} {
-		st.CallCount[st.Index(fn)] = uint64(100 + 13*i)
+		st.Funcs[st.Index(fn)].Calls = uint64(100 + 13*i)
 	}
 	data, err := xmlrep.Marshal(xmlrep.NewProfileLog("bench-host", "bench-app", st))
 	if err != nil {
@@ -677,7 +677,7 @@ func benchHistProfileDoc(b *testing.B) []byte {
 	st := gen.NewState("libhealers_prof.so")
 	for i, fn := range []string{"strlen", "malloc", "free", "memcpy", "strtok", "toupper"} {
 		idx := st.Index(fn)
-		st.CallCount[idx] = uint64(100 + 13*i)
+		st.Funcs[idx].Calls = uint64(100 + 13*i)
 		var sum uint64
 		for bkt := 2; bkt < 2+12; bkt++ {
 			st.ExecHist[idx][bkt] = uint64(bkt + i)
@@ -685,8 +685,8 @@ func benchHistProfileDoc(b *testing.B) []byte {
 		}
 		// Keep the invariant the capture path guarantees: bucket sum ==
 		// timed calls.
-		st.CallCount[idx] = sum
-		st.ExecTime[idx] = time.Duration(sum) * 100
+		st.Funcs[idx].Calls = sum
+		st.Funcs[idx].ExecNS = int64(sum) * 100
 		st.FuncErrno[idx][2] = uint64(i) // ENOENT
 	}
 	data, err := xmlrep.Marshal(xmlrep.NewProfileLog("bench-host", "bench-app", st))
@@ -847,8 +847,8 @@ func BenchmarkCaptureContention(b *testing.B) {
 		b.Fatalf("TotalCalls = %d, want %d (lost increments)", total, b.N)
 	}
 	for i := range st.FuncNames() {
-		if hist := gen.HistTotal(st.ExecHist[i]); hist != st.CallCount[i] {
-			b.Fatalf("bucket sum %d != call count %d", hist, st.CallCount[i])
+		if hist := gen.HistTotal(st.ExecHist[i]); hist != st.Funcs[i].Calls {
+			b.Fatalf("bucket sum %d != call count %d", hist, st.Funcs[i].Calls)
 		}
 	}
 }

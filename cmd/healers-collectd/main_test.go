@@ -22,12 +22,10 @@ func TestRunReceivesAndExits(t *testing.T) {
 	go func() { done <- run(serveConfig{addr: addr, maxDocs: 2, showStats: true}) }()
 
 	// Upload two profiles; run() must return after the second.
-	st := gen.NewState("libhealers_prof.so")
-	st.CallCount = append(st.CallCount, 0)
 	for i := 0; i < 2; i++ {
 		st2 := gen.NewState("libhealers_prof.so")
 		idx := st2.Index("strlen")
-		st2.CallCount[idx] = uint64(i + 1)
+		st2.Funcs[idx].Calls = uint64(i + 1)
 		var err error
 		for try := 0; try < 100; try++ {
 			if err = collect.Upload(addr, xmlrep.NewProfileLog("h", "a", st2)); err == nil {
@@ -54,7 +52,7 @@ func TestRunWithRetentionBudget(t *testing.T) {
 	// retained store).
 	for i := 0; i < 3; i++ {
 		st := gen.NewState("libhealers_prof.so")
-		st.CallCount[st.Index("strlen")] = uint64(i + 1)
+		st.Funcs[st.Index("strlen")].Calls = uint64(i + 1)
 		var err error
 		for try := 0; try < 100; try++ {
 			if err = collect.Upload(addr, xmlrep.NewProfileLog("h", "a", st)); err == nil {
@@ -163,11 +161,11 @@ func TestRunMetricsEndpoint(t *testing.T) {
 	for i, calls := range []uint64{2, 3} {
 		st := gen.NewState("libhealers_prof.so")
 		idx := st.Index("strlen")
-		st.CallCount[idx] = calls
+		st.Funcs[idx].Calls = calls
 		st.ExecHist[idx][5] = calls
-		st.ExecTime[idx] = time.Duration(40 * calls)
+		st.Funcs[idx].ExecNS = int64(40 * calls)
 		oidx := st.Index("open")
-		st.CallCount[oidx] = 1
+		st.Funcs[oidx].Calls = 1
 		st.FuncErrno[oidx][2] = 1 // ENOENT
 		var err error
 		for try := 0; try < 100; try++ {
@@ -209,7 +207,7 @@ func TestRunMetricsEndpoint(t *testing.T) {
 
 	// A third upload satisfies -max 3 and lets run() exit.
 	st := gen.NewState("libhealers_prof.so")
-	st.CallCount[st.Index("strlen")] = 1
+	st.Funcs[st.Index("strlen")].Calls = 1
 	if err := collect.Upload(addr, xmlrep.NewProfileLog("h", "a", st)); err != nil {
 		t.Fatalf("final upload: %v", err)
 	}
@@ -229,7 +227,7 @@ func TestSummarizeSorted(t *testing.T) {
 	defer srv.Close()
 	st := gen.NewState("libhealers_prof.so")
 	for i, fn := range []string{"strlen", "memcpy", "wctrans", "abort", "qsort"} {
-		st.CallCount[st.Index(fn)] = uint64(i + 1)
+		st.Funcs[st.Index(fn)].Calls = uint64(i + 1)
 	}
 	seq := &xmlrep.SequenceReportDoc{Scenario: "s", App: "a", Runs: []xmlrep.SeqRunXML{{Outcome: "ok"}}}
 	seq.Stamp()

@@ -128,32 +128,25 @@ func (s *Space) JournalDiff() []JournalDiffEntry {
 	if len(s.journalMarks) == 0 {
 		return nil
 	}
-	mark := s.journalMarks[len(s.journalMarks)-1]
-	window := s.journal[mark:]
-	first := make(map[Addr]byte, len(window))
-	for _, e := range window {
-		if _, seen := first[e.addr]; !seen {
-			first[e.addr] = e.old
+	// A stable sort by address keeps each address's entries in journal
+	// order, so the first of a run holds the window's first pre-image.
+	window := slices.Clone(s.journal[s.journalMarks[len(s.journalMarks)-1]:])
+	slices.SortStableFunc(window, func(a, b journalEntry) int { return cmp.Compare(a.addr, b.addr) })
+	diff := []JournalDiffEntry{}
+	for i, e := range window {
+		if i > 0 && window[i-1].addr == e.addr {
+			continue
 		}
-	}
-	diff := make([]JournalDiffEntry, 0, len(first))
-	for a, old := range first {
-		pg := s.pageOf(a)
+		pg := s.pageOf(e.addr)
 		if pg == nil {
 			continue
 		}
-		cur := pg.at(uint32(a) & pageMask)
-		if cur == old {
-			continue
+		if cur := pg.at(uint32(e.addr) & pageMask); cur != e.old {
+			diff = append(diff, JournalDiffEntry{Addr: e.addr, Old: e.old, New: cur})
 		}
-		diff = append(diff, JournalDiffEntry{Addr: a, Old: old, New: cur})
 	}
-	slices.SortFunc(diff, byAddr)
 	return diff
 }
-
-// byAddr orders diff entries by address; a diff holds each address once.
-func byAddr(a, b JournalDiffEntry) int { return cmp.Compare(a.Addr, b.Addr) }
 
 // JournalDiffDigest folds JournalDiff into a sha256 hex digest over the
 // sorted (address, new value) pairs. Two processes that committed the

@@ -2,6 +2,7 @@ package cmem
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -275,7 +276,7 @@ func (r *refSpace) JournalDiff() []JournalDiffEntry {
 		}
 		diff = append(diff, JournalDiffEntry{Addr: a, Old: old, New: pg.data[a&pageMask]})
 	}
-	slices.SortFunc(diff, byAddr)
+	slices.SortFunc(diff, func(a, b JournalDiffEntry) int { return cmp.Compare(a.Addr, b.Addr) })
 	return diff
 }
 

@@ -39,7 +39,7 @@ func waitCount(t *testing.T, s *Server, n int) {
 func sampleProfile(app string, calls uint64) *xmlrep.ProfileLog {
 	st := gen.NewState("libhealers_prof.so")
 	i := st.Index("strlen")
-	st.CallCount[i] = calls
+	st.Funcs[i].Calls = calls
 	return xmlrep.NewProfileLog("testhost", app, st)
 }
 
@@ -318,10 +318,10 @@ func TestServerCloseStopsAccepting(t *testing.T) {
 func containmentProfile(app string) *xmlrep.ProfileLog {
 	st := gen.NewState("libhealers_contain.so")
 	i := st.Index("strlen")
-	st.CallCount[i] = 20
-	st.ContainedCount[i] = 5
-	st.RetriedCount[i] = 3
-	st.BreakerTrips[i] = 1
+	st.Funcs[i].Calls = 20
+	st.Funcs[i].Contained = 5
+	st.Funcs[i].Retried = 3
+	st.Funcs[i].BreakerTrips = 1
 	return xmlrep.NewProfileLog("testhost", app, st)
 }
 
@@ -533,8 +533,8 @@ func TestAggregateSilentCorruption(t *testing.T) {
 	s := startServer(t)
 	st := gen.NewState("libhealers_contain.so")
 	i := st.Index("strdup")
-	st.CallCount[i] = 5
-	st.CorruptionCount[i] = 2
+	st.Funcs[i].Calls = 5
+	st.Funcs[i].SilentCorrupt = 2
 	if err := Upload(s.Addr(), xmlrep.NewProfileLog("h", "app", st)); err != nil {
 		t.Fatal(err)
 	}

@@ -83,8 +83,8 @@ func TestAggregatePreObservabilityGolden(t *testing.T) {
 func TestSpoolerRoundTripsObservabilityDoc(t *testing.T) {
 	st := gen.NewState("libhealers_prof.so")
 	idx := st.Index("strlen")
-	st.CallCount[idx] = 10
-	st.ExecTime[idx] = 1234 * time.Nanosecond
+	st.Funcs[idx].Calls = 10
+	st.Funcs[idx].ExecNS = 1234
 	st.ExecHist[idx][3] = 4
 	st.ExecHist[idx][9] = 6
 	st.FuncErrno[idx][2] = 1 // ENOENT

@@ -332,7 +332,7 @@ func TestIncrementalAggregationMatchesReparse(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		st := gen.NewState("libhealers_prof.so")
 		for j, fn := range funcs {
-			st.CallCount[st.Index(fn)] = uint64((i+1)*(j+3)) % 97
+			st.Funcs[st.Index(fn)].Calls = uint64((i+1)*(j+3)) % 97
 		}
 		if err := Upload(s.Addr(), xmlrep.NewProfileLog("host", fmt.Sprintf("app%d", i), st)); err != nil {
 			t.Fatal(err)

@@ -512,8 +512,8 @@ func TestRunSequenceCampaignThroughToolkit(t *testing.T) {
 	}
 	st, _ := tk.WrapperState(wrappers.ContainmentSoname)
 	var total uint64
-	for _, n := range st.CorruptionCount {
-		total += n
+	for _, f := range st.Funcs {
+		total += f.SilentCorrupt
 	}
 	if total != uint64(len(funcs)) {
 		t.Errorf("wrapper state records %d silent corruptions, campaign found %d", total, len(funcs))

@@ -95,17 +95,17 @@ func TestCaptureRaceHammer(t *testing.T) {
 	if got := st.TotalCalls(); got != calls {
 		t.Errorf("TotalCalls = %d, want %d", got, calls)
 	}
-	if st.CallCount[idx] != calls {
-		t.Errorf("CallCount = %d, want %d", st.CallCount[idx], calls)
+	if st.Funcs[idx].Calls != calls {
+		t.Errorf("Calls = %d, want %d", st.Funcs[idx].Calls, calls)
 	}
 	if got := HistTotal(st.ExecHist[idx]); got != calls {
 		t.Errorf("histogram bucket sum = %d, want %d (== call count)", got, calls)
 	}
-	if st.PassedCount[idx] != passed {
-		t.Errorf("PassedCount = %d, want %d", st.PassedCount[idx], passed)
+	if st.Funcs[idx].Passed != passed {
+		t.Errorf("Passed = %d, want %d", st.Funcs[idx].Passed, passed)
 	}
-	if st.DeniedCount[idx] != denied {
-		t.Errorf("DeniedCount = %d, want %d", st.DeniedCount[idx], denied)
+	if st.Funcs[idx].Denied != denied {
+		t.Errorf("Denied = %d, want %d", st.Funcs[idx].Denied, denied)
 	}
 	// Every call flips errno (0 -> EINVAL when passed, 0 -> EDenied when
 	// vetoed; EDenied clamps to the histogram's overflow slot), so both
@@ -149,8 +149,8 @@ func BenchmarkCounterCapture(b *testing.B) {
 		}
 	})
 	b.StopTimer()
-	if st.CallCount[idx] != uint64(b.N) {
-		b.Fatalf("CallCount = %d, want %d (lost increments)", st.CallCount[idx], b.N)
+	if st.Funcs[idx].Calls != uint64(b.N) {
+		b.Fatalf("Calls = %d, want %d (lost increments)", st.Funcs[idx].Calls, b.N)
 	}
 	if hist := HistTotal(st.ExecHist[idx]); hist != uint64(b.N) {
 		b.Fatalf("bucket sum %d != %d calls", hist, b.N)

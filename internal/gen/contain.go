@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"healers/internal/cmem"
@@ -248,7 +249,7 @@ func (g *containGen) PostfixHook(proto *ctypes.Prototype, st *State) Hook {
 
 		if decision.Action == ActionRetry && ctx.invoke != nil {
 			for attempt := 0; attempt < decision.Retries; attempt++ {
-				st.noteRetry(ctx.FuncIndex)
+				atomic.AddUint64(&st.Funcs[ctx.FuncIndex].Retried, 1)
 				sp.BeginJournal()
 				ret, f := ctx.invoke()
 				if f == nil {
@@ -272,7 +273,7 @@ func (g *containGen) PostfixHook(proto *ctypes.Prototype, st *State) Hook {
 
 		st.noteContained(ctx.FuncIndex, class)
 		if g.policy != nil && g.policy.RecordFailure(ctx.Proto.Name, class) {
-			st.noteBreakerTrip(ctx.FuncIndex)
+			atomic.AddUint64(&st.Funcs[ctx.FuncIndex].BreakerTrips, 1)
 		}
 		ctx.Denied = true
 		ctx.DenyReason = fmt.Sprintf("%s: contained %s (%s)", ctx.Proto.Name, class, fault.Kind)

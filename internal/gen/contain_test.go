@@ -62,8 +62,8 @@ func TestContainVirtualizesCrash(t *testing.T) {
 		t.Errorf("virtualized return = %d, want -1", v.Int32())
 	}
 	idx := st.Index("strlen")
-	if st.ContainedCount[idx] != 1 {
-		t.Errorf("ContainedCount = %d, want 1", st.ContainedCount[idx])
+	if st.Funcs[idx].Contained != 1 {
+		t.Errorf("Contained = %d, want 1", st.Funcs[idx].Contained)
 	}
 	if len(st.DenyLog) == 0 || !strings.Contains(st.DenyLog[0], "contained crash") {
 		t.Errorf("DenyLog = %v", st.DenyLog)
@@ -133,8 +133,8 @@ func TestWatchdogConvertsHangToEINTR(t *testing.T) {
 	if v.Int32() != -1 {
 		t.Errorf("return = %d, want -1", v.Int32())
 	}
-	if st.ContainedCount[st.Index("strlen")] != 1 {
-		t.Errorf("ContainedCount = %d, want 1", st.ContainedCount[st.Index("strlen")])
+	if st.Funcs[st.Index("strlen")].Contained != 1 {
+		t.Errorf("Contained = %d, want 1", st.Funcs[st.Index("strlen")].Contained)
 	}
 	// The per-call budget is gone; the process's fuel is unlimited again.
 	if env.Img.Space.Fuel() != -1 {
@@ -270,14 +270,14 @@ func TestContainRetrySucceeds(t *testing.T) {
 		t.Errorf("original invoked %d times, want 3", calls)
 	}
 	idx := st.Index("f")
-	if st.RetriedCount[idx] != 2 {
-		t.Errorf("RetriedCount = %d, want 2", st.RetriedCount[idx])
+	if st.Funcs[idx].Retried != 2 {
+		t.Errorf("Retried = %d, want 2", st.Funcs[idx].Retried)
 	}
-	if st.ContainedCount[idx] != 0 {
-		t.Errorf("ContainedCount = %d, want 0 (recovered by retry)", st.ContainedCount[idx])
+	if st.Funcs[idx].Contained != 0 {
+		t.Errorf("Contained = %d, want 0 (recovered by retry)", st.Funcs[idx].Contained)
 	}
-	if st.PassedCount[idx] != 1 {
-		t.Errorf("PassedCount = %d, want 1", st.PassedCount[idx])
+	if st.Funcs[idx].Passed != 1 {
+		t.Errorf("Passed = %d, want 1", st.Funcs[idx].Passed)
 	}
 }
 
@@ -303,9 +303,9 @@ func TestContainRetryExhaustedFallsBackToDeny(t *testing.T) {
 		t.Errorf("ret=%d errno=%d, want -1/EFAULT", v.Int32(), env.Errno)
 	}
 	idx := st.Index("f")
-	if st.RetriedCount[idx] != 2 || st.ContainedCount[idx] != 1 {
-		t.Errorf("RetriedCount=%d ContainedCount=%d, want 2/1",
-			st.RetriedCount[idx], st.ContainedCount[idx])
+	if st.Funcs[idx].Retried != 2 || st.Funcs[idx].Contained != 1 {
+		t.Errorf("Retried=%d Contained=%d, want 2/1",
+			st.Funcs[idx].Retried, st.Funcs[idx].Contained)
 	}
 }
 
@@ -343,7 +343,7 @@ func TestContainEscalatePropagates(t *testing.T) {
 	if f == nil || f.Kind != cmem.FaultHang {
 		t.Errorf("escalated fault = %v, want the original hang", f)
 	}
-	if st.ContainedCount[st.Index("f")] != 0 {
+	if st.Funcs[st.Index("f")].Contained != 0 {
 		t.Error("escalated fault counted as contained")
 	}
 }
@@ -365,8 +365,8 @@ func TestBreakerTripsToUpfrontDeny(t *testing.T) {
 		}
 	}
 	idx := st.Index("f")
-	if st.BreakerTrips[idx] != 1 {
-		t.Errorf("BreakerTrips = %d, want 1", st.BreakerTrips[idx])
+	if st.Funcs[idx].BreakerTrips != 1 {
+		t.Errorf("BreakerTrips = %d, want 1", st.Funcs[idx].BreakerTrips)
 	}
 	// The breaker is open: the brittle implementation is not poked again.
 	env.Errno = 0
@@ -380,8 +380,8 @@ func TestBreakerTripsToUpfrontDeny(t *testing.T) {
 	if env.Errno != cval.EDenied || v.Int32() != -1 {
 		t.Errorf("post-trip ret=%d errno=%d, want -1/EDenied", v.Int32(), env.Errno)
 	}
-	if st.DeniedCount[idx] != 3 { // 2 contained + 1 breaker deny
-		t.Errorf("DeniedCount = %d, want 3", st.DeniedCount[idx])
+	if st.Funcs[idx].Denied != 3 { // 2 contained + 1 breaker deny
+		t.Errorf("Denied = %d, want 3", st.Funcs[idx].Denied)
 	}
 }
 
@@ -470,14 +470,13 @@ func TestStateResetClearsContainmentCounters(t *testing.T) {
 	st := NewState("w")
 	idx := st.Index("f")
 	st.noteContained(idx, ClassCrash)
-	st.noteRetry(idx)
-	st.noteBreakerTrip(idx)
+	st.Funcs[idx].Retried, st.Funcs[idx].BreakerTrips = 1, 1
 	st.Reset()
 	if st.ContainedByClass[idx][ClassCrash] != 0 {
 		t.Errorf("Reset left per-class contained counter: %d", st.ContainedByClass[idx][ClassCrash])
 	}
-	if st.ContainedCount[idx] != 0 || st.RetriedCount[idx] != 0 || st.BreakerTrips[idx] != 0 {
+	if st.Funcs[idx].Contained != 0 || st.Funcs[idx].Retried != 0 || st.Funcs[idx].BreakerTrips != 0 {
 		t.Errorf("Reset left containment counters: %d/%d/%d",
-			st.ContainedCount[idx], st.RetriedCount[idx], st.BreakerTrips[idx])
+			st.Funcs[idx].Contained, st.Funcs[idx].Retried, st.Funcs[idx].BreakerTrips)
 	}
 }

@@ -104,6 +104,51 @@ type MicroGenerator interface {
 	PostfixHook(proto *ctypes.Prototype, st *State) Hook
 }
 
+// FuncCounters are a wrapped function's scalar counters, declared once
+// for the wrapper state that captures them, the profile document that
+// ships them and the collector's fleet aggregate. The attribute tags are
+// the profile document's: every counter after ExecNS is omitted from a
+// document while it is zero, so documents from before it existed parse
+// with it at zero, readers that predate it ignore it, and idle documents
+// stay byte-identical to theirs.
+type FuncCounters struct {
+	// Calls is the call count; ExecNS the time spent in the function,
+	// nanoseconds.
+	Calls  uint64 `xml:"calls,attr"`
+	ExecNS int64  `xml:"exec_ns,attr"`
+	// Denied counts calls vetoed by a checking micro-generator, Passed
+	// calls that cleared every installed check, Substituted calls routed
+	// through a bounded substitution (BuildLibrarySubst).
+	Denied      uint64 `xml:"denied,attr,omitempty"`
+	Passed      uint64 `xml:"passed,attr,omitempty"`
+	Substituted uint64 `xml:"substituted,attr,omitempty"`
+	// Contained counts faults caught and virtualized by the containment
+	// wrapper, Retried its policy-issued retry attempts, BreakerTrips
+	// its circuit-breaker trips (a function flipped to always-deny after
+	// repeated contained failures).
+	Contained    uint64 `xml:"contained,attr,omitempty"`
+	Retried      uint64 `xml:"retried,attr,omitempty"`
+	BreakerTrips uint64 `xml:"breaker_trips,attr,omitempty"`
+	// SilentCorrupt counts runs where the function's call completed with
+	// a success status but the journal diff showed committed state
+	// diverging from the golden run — damage no errno-based counter
+	// above can see.
+	SilentCorrupt uint64 `xml:"silent_corruption,attr,omitempty"`
+}
+
+// Add adds o's counters to c.
+func (c *FuncCounters) Add(o FuncCounters) {
+	c.Calls += o.Calls
+	c.ExecNS += o.ExecNS
+	c.Denied += o.Denied
+	c.Passed += o.Passed
+	c.Substituted += o.Substituted
+	c.Contained += o.Contained
+	c.Retried += o.Retried
+	c.BreakerTrips += o.BreakerTrips
+	c.SilentCorrupt += o.SilentCorrupt
+}
+
 // State is the mutable statistics store shared by every wrapped function
 // of one generated wrapper library — the arrays the paper's generated code
 // indexes (call_counter_num_calls[1206] and friends). One State belongs to
@@ -128,10 +173,11 @@ type State struct {
 	funcIndex map[string]int
 	funcNames []string
 
-	// CallCount counts calls per function index.
-	CallCount []uint64
-	// ExecTime accumulates time spent per function index.
-	ExecTime []time.Duration
+	// Funcs holds each wrapped function's scalar counters, by function
+	// index: the record the profile document and the collector's fleet
+	// aggregate carry too. In a wrapper with no checking
+	// micro-generators every completed call counts as Passed.
+	Funcs []FuncCounters
 	// ExecHist holds one log2 latency histogram per function index
 	// (HistBuckets buckets, see HistBucket); once capture quiesces, the
 	// bucket sum equals the number of calls the exectime micro-generator
@@ -141,37 +187,12 @@ type State struct {
 	FuncErrno [][]uint64
 	// GlobalErrno histograms errno changes across all functions.
 	GlobalErrno []uint64
-	// DeniedCount counts vetoed calls per function index.
-	DeniedCount []uint64
-	// PassedCount counts calls that ran every installed check and were
-	// let through to the original function, per function index. In a
-	// wrapper with no checking micro-generators every completed call
-	// counts as passed.
-	PassedCount []uint64
-	// SubstCount counts calls routed through a bounded substitution
-	// (BuildLibrarySubst) instead of the micro-generator composition.
-	SubstCount []uint64
-	// ContainedCount counts faults the containment micro-generator
-	// caught and virtualized into errno returns, per function index.
-	ContainedCount []uint64
-	// ContainedByClass splits ContainedCount per failure class: one
+	// ContainedByClass splits Funcs[i].Contained per failure class: one
 	// NumFailureClasses-length histogram per function index, indexed by
 	// FailureClass. The per-class grain is what adaptive re-derivation
 	// escalates on (a function that keeps hanging warrants a different
 	// rule than one that keeps crashing).
 	ContainedByClass [][]uint64
-	// RetriedCount counts retry attempts the recovery policy issued
-	// after a contained fault, per function index.
-	RetriedCount []uint64
-	// BreakerTrips counts circuit-breaker trips (a function flipped to
-	// always-deny after repeated contained failures), per function
-	// index.
-	BreakerTrips []uint64
-	// CorruptionCount counts silent corruptions per function index: runs
-	// where the function's call completed with a success status but the
-	// journal diff showed committed state diverging from the golden run
-	// — damage no errno-based counter above can see.
-	CorruptionCount []uint64
 	// Overflows counts canary/bound violations detected.
 	Overflows uint64
 	// DenyLog records human-readable veto reasons (bounded).
@@ -223,18 +244,19 @@ func NewState(soname string) *State {
 // not: a Reset writes the cache lines the run wrote, not every slot.
 func (st *State) Reset() {
 	st.mu.Lock()
-	for i := range st.CallCount {
-		clearSlot(&st.CallCount[i])
-		if atomic.LoadInt64((*int64)(&st.ExecTime[i])) != 0 {
-			atomic.StoreInt64((*int64)(&st.ExecTime[i]), 0)
+	for i := range st.Funcs {
+		f := &st.Funcs[i]
+		clearSlot(&f.Calls)
+		if atomic.LoadInt64(&f.ExecNS) != 0 {
+			atomic.StoreInt64(&f.ExecNS, 0)
 		}
-		clearSlot(&st.DeniedCount[i])
-		clearSlot(&st.PassedCount[i])
-		clearSlot(&st.SubstCount[i])
-		clearSlot(&st.ContainedCount[i])
-		clearSlot(&st.RetriedCount[i])
-		clearSlot(&st.BreakerTrips[i])
-		clearSlot(&st.CorruptionCount[i])
+		clearSlot(&f.Denied)
+		clearSlot(&f.Passed)
+		clearSlot(&f.Substituted)
+		clearSlot(&f.Contained)
+		clearSlot(&f.Retried)
+		clearSlot(&f.BreakerTrips)
+		clearSlot(&f.SilentCorrupt)
 		zero(st.ContainedByClass[i])
 		zero(st.ExecHist[i])
 		zero(st.FuncErrno[i])
@@ -272,7 +294,7 @@ func zero(h []uint64) {
 func (st *State) Sync() {}
 
 // Index returns the stable index for a function name, allocating on first
-// use. Allocation grows the counter slices and must therefore not race
+// use. Allocation grows the counter tables and must therefore not race
 // with capture — which it cannot in practice: a wrapper library indexes
 // all its symbols at build time, before any process can call it.
 func (st *State) Index(name string) int {
@@ -284,18 +306,10 @@ func (st *State) Index(name string) int {
 	i := len(st.funcNames)
 	st.funcIndex[name] = i
 	st.funcNames = append(st.funcNames, name)
-	st.CallCount = append(st.CallCount, 0)
-	st.ExecTime = append(st.ExecTime, 0)
+	st.Funcs = append(st.Funcs, FuncCounters{})
 	st.ExecHist = append(st.ExecHist, make([]uint64, HistBuckets))
 	st.FuncErrno = append(st.FuncErrno, make([]uint64, cval.MaxErrno+1))
-	st.DeniedCount = append(st.DeniedCount, 0)
-	st.PassedCount = append(st.PassedCount, 0)
-	st.SubstCount = append(st.SubstCount, 0)
-	st.ContainedCount = append(st.ContainedCount, 0)
 	st.ContainedByClass = append(st.ContainedByClass, make([]uint64, NumFailureClasses))
-	st.RetriedCount = append(st.RetriedCount, 0)
-	st.BreakerTrips = append(st.BreakerTrips, 0)
-	st.CorruptionCount = append(st.CorruptionCount, 0)
 	return i
 }
 
@@ -318,8 +332,8 @@ func (st *State) TotalCalls() uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	var n uint64
-	for i := range st.CallCount {
-		n += atomic.LoadUint64(&st.CallCount[i])
+	for i := range st.Funcs {
+		n += atomic.LoadUint64(&st.Funcs[i].Calls)
 	}
 	return n
 }
@@ -329,10 +343,11 @@ func (st *State) TotalCalls() uint64 {
 func (st *State) ContainmentTotals() (contained, retried, trips uint64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for i := range st.ContainedCount {
-		contained += atomic.LoadUint64(&st.ContainedCount[i])
-		retried += atomic.LoadUint64(&st.RetriedCount[i])
-		trips += atomic.LoadUint64(&st.BreakerTrips[i])
+	for i := range st.Funcs {
+		f := &st.Funcs[i]
+		contained += atomic.LoadUint64(&f.Contained)
+		retried += atomic.LoadUint64(&f.Retried)
+		trips += atomic.LoadUint64(&f.BreakerTrips)
 	}
 	return contained, retried, trips
 }
@@ -342,13 +357,13 @@ func (st *State) ContainmentTotals() (contained, retried, trips uint64) {
 // micro-generator composition, account their calls through the same
 // path.
 func (st *State) AddCall(idx int) {
-	atomic.AddUint64(&st.CallCount[idx], 1)
+	atomic.AddUint64(&st.Funcs[idx].Calls, 1)
 }
 
 // addExecSample accumulates time spent in a wrapped function and bumps
 // its latency histogram bucket.
 func (st *State) addExecSample(idx int, d time.Duration) {
-	atomic.AddInt64((*int64)(&st.ExecTime[idx]), int64(d))
+	atomic.AddInt64(&st.Funcs[idx].ExecNS, int64(d))
 	atomic.AddUint64(&st.ExecHist[idx][HistBucket(d)], 1)
 }
 
@@ -368,7 +383,7 @@ func (st *State) addOverflow() {
 }
 
 // DenyLogCap bounds the DenyLog so a pathological workload cannot grow
-// the veto record without limit; DeniedCount keeps exact totals.
+// the veto record without limit; Funcs[i].Denied keeps exact totals.
 const DenyLogCap = 1000
 
 // NoteDeny records a veto: an atomic add on the counter, the
@@ -377,7 +392,7 @@ const DenyLogCap = 1000
 // common path by construction. Exported so bounded substitutions share
 // the one implementation (and its cap) instead of reimplementing it.
 func (st *State) NoteDeny(idx int, reason string) {
-	atomic.AddUint64(&st.DeniedCount[idx], 1)
+	atomic.AddUint64(&st.Funcs[idx].Denied, 1)
 	st.mu.Lock()
 	if len(st.DenyLog) < DenyLogCap {
 		st.DenyLog = append(st.DenyLog, reason)
@@ -392,36 +407,16 @@ func (st *State) NoteDeny(idx int, reason string) {
 // sequence campaign compares digests across whole processes and reports
 // the verdict back into the wrapper's state.
 func (st *State) NoteSilentCorruption(idx int) {
-	atomic.AddUint64(&st.CorruptionCount[idx], 1)
+	atomic.AddUint64(&st.Funcs[idx].SilentCorrupt, 1)
 }
 
 // noteContained counts a fault caught and virtualized for a function,
 // in both the per-function total and its failure-class bucket.
 func (st *State) noteContained(idx int, class FailureClass) {
-	atomic.AddUint64(&st.ContainedCount[idx], 1)
+	atomic.AddUint64(&st.Funcs[idx].Contained, 1)
 	if c := int(class); c >= 0 && c < NumFailureClasses {
 		atomic.AddUint64(&st.ContainedByClass[idx][c], 1)
 	}
-}
-
-// noteRetry counts one policy-issued retry attempt.
-func (st *State) noteRetry(idx int) {
-	atomic.AddUint64(&st.RetriedCount[idx], 1)
-}
-
-// noteBreakerTrip counts a circuit-breaker trip.
-func (st *State) noteBreakerTrip(idx int) {
-	atomic.AddUint64(&st.BreakerTrips[idx], 1)
-}
-
-// notePassed counts a call that cleared every installed check.
-func (st *State) notePassed(idx int) {
-	atomic.AddUint64(&st.PassedCount[idx], 1)
-}
-
-// noteSubst counts a call routed through a bounded substitution.
-func (st *State) noteSubst(idx int) {
-	atomic.AddUint64(&st.SubstCount[idx], 1)
 }
 
 // SetTraceCap arms the trace ring; the largest capacity requested by any
@@ -476,19 +471,19 @@ func (st *State) traceCall(fn *TraceEntry, args []cval.Value, dur time.Duration,
 }
 
 // Trace snapshots the trace ring, oldest entry first, rendering each
-// record's arguments and outcome. Entries are in strictly increasing Seq
-// order; the oldest retained entry is the one traceCap calls behind the
-// newest.
+// record's arguments and outcome straight from its ring slot. Entries
+// are in strictly increasing Seq order; the oldest retained entry is the
+// one traceCap calls behind the newest.
 func (st *State) Trace() []TraceEntry {
 	st.traceMu.Lock()
-	live := st.traceSnapshot()
-	st.traceMu.Unlock()
-	if live == nil {
+	defer st.traceMu.Unlock()
+	if st.traceLen == 0 {
 		return nil
 	}
-	out := make([]TraceEntry, len(live))
-	for i := range live {
-		out[i] = live[i].render()
+	out := make([]TraceEntry, st.traceLen)
+	start := st.traceHead - st.traceLen + st.traceCap
+	for i := range out {
+		out[i] = st.trace[(start+i)%st.traceCap].render()
 	}
 	return out
 }
@@ -635,7 +630,7 @@ func (g *Generator) build(proto *ctypes.Prototype, resolve func() cval.CFunc, st
 		// fault cleared every installed check (NoteDeny covered the
 		// veto case inside the checking hook).
 		if !ctx.Denied {
-			st.notePassed(idx)
+			atomic.AddUint64(&st.Funcs[idx].Passed, 1)
 		}
 		return ctx.Ret, nil
 	}
@@ -714,7 +709,7 @@ func (g *Generator) BuildLibrarySubst(soname string, protos []*ctypes.Prototype,
 				if fn == nil {
 					return 0, &cmem.Fault{Kind: cmem.FaultAbort, Op: "wrapper", Detail: "substitute unresolved"}
 				}
-				st.noteSubst(idx)
+				atomic.AddUint64(&st.Funcs[idx].Substituted, 1)
 				return fn(env, args)
 			})
 			continue

@@ -167,12 +167,12 @@ func TestProfilingHooksCollect(t *testing.T) {
 	}
 
 	idx := st.Index("strlen")
-	if st.CallCount[idx] != 3 {
-		t.Errorf("strlen count = %d, want 3", st.CallCount[idx])
+	if st.Funcs[idx].Calls != 3 {
+		t.Errorf("strlen count = %d, want 3", st.Funcs[idx].Calls)
 	}
 	widx := st.Index("wctrans")
-	if st.CallCount[widx] != 1 {
-		t.Errorf("wctrans count = %d, want 1", st.CallCount[widx])
+	if st.Funcs[widx].Calls != 1 {
+		t.Errorf("wctrans count = %d, want 1", st.Funcs[widx].Calls)
 	}
 	// wctrans("bogus") sets EINVAL; both errno histograms must see it.
 	if st.FuncErrno[widx][cval.EINVAL] != 1 {
@@ -185,8 +185,8 @@ func TestProfilingHooksCollect(t *testing.T) {
 		t.Errorf("TotalCalls = %d, want 4", st.TotalCalls())
 	}
 	// Execution time accumulated something nonzero for strlen.
-	if st.ExecTime[idx] <= 0 {
-		t.Errorf("ExecTime = %v, want > 0", st.ExecTime[idx])
+	if st.Funcs[idx].ExecNS <= 0 {
+		t.Errorf("ExecNS = %d, want > 0", st.Funcs[idx].ExecNS)
 	}
 	names := st.FuncNames()
 	if len(names) != 2 {
@@ -255,8 +255,8 @@ func TestArgCheckDenies(t *testing.T) {
 	if v.Int32() != -1 {
 		t.Errorf("denied return = %d, want -1", v.Int32())
 	}
-	if st.DeniedCount[st.Index("strlen")] != 1 {
-		t.Errorf("DeniedCount = %d", st.DeniedCount[st.Index("strlen")])
+	if st.Funcs[st.Index("strlen")].Denied != 1 {
+		t.Errorf("Denied = %d", st.Funcs[st.Index("strlen")].Denied)
 	}
 	if len(st.DenyLog) != 1 || !strings.Contains(st.DenyLog[0], "strlen") {
 		t.Errorf("DenyLog = %v", st.DenyLog)

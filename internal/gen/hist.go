@@ -105,20 +105,22 @@ func FormatNS(ns int64) string {
 // a recently intercepted call with its rendered arguments, duration, and
 // outcome, kept for post-mortem inspection (healers-profile -trace). The
 // ring keeps a call's argument words and errno; State.Trace renders them
-// into Args and Outcome when the ring is read.
+// into Args and Outcome when the ring is read. The attribute tags are
+// the profile document's <call> element, which carries these entries as
+// they are.
 type TraceEntry struct {
 	// Seq is the 1-based global sequence number of the call across the
 	// wrapper library; gaps at the front mean the ring wrapped.
-	Seq uint64
+	Seq uint64 `xml:"seq,attr"`
 	// Func is the wrapped function's name.
-	Func string
+	Func string `xml:"func,attr"`
 	// Args renders the caller's argument words.
-	Args string
-	// Dur is the wall time between the trace micro-generator's prefix
-	// and postfix hooks — the call's duration including any inner
-	// micro-generators.
-	Dur time.Duration
+	Args string `xml:"args,attr,omitempty"`
+	// DurNS is the wall time between the trace micro-generator's prefix
+	// and postfix hooks, nanoseconds — the call's duration including any
+	// inner micro-generators.
+	DurNS int64 `xml:"dur_ns,attr"`
 	// Outcome is "ok", "denied", or "errno=<name>" when the call
 	// changed errno.
-	Outcome string
+	Outcome string `xml:"outcome,attr"`
 }

@@ -108,8 +108,8 @@ func TestExecSampleFeedsHistogram(t *testing.T) {
 	if got := HistTotal(st.ExecHist[idx]); got != 3 {
 		t.Errorf("bucket sum = %d, want 3", got)
 	}
-	if st.ExecTime[idx] != 380*time.Nanosecond {
-		t.Errorf("total = %v, want 380ns", st.ExecTime[idx])
+	if st.Funcs[idx].ExecNS != 380 {
+		t.Errorf("total = %dns, want 380ns", st.Funcs[idx].ExecNS)
 	}
 	st.Reset()
 	if got := HistTotal(st.ExecHist[idx]); got != 0 {

@@ -659,7 +659,7 @@ func (r *traceRecord) render() TraceEntry {
 	e.Seq = r.seq
 	var buf [64]byte
 	e.Args = string(appendArgs(buf[:0], r.args[:r.nargs]))
-	e.Dur = r.dur
+	e.DurNS = r.dur.Nanoseconds()
 	switch r.outcome {
 	case outcomeDenied:
 		e.Outcome = "denied"

@@ -162,14 +162,14 @@ func TestLibrarySourceConcatenates(t *testing.T) {
 func TestStateResetAndName(t *testing.T) {
 	st := NewState("w")
 	i := st.Index("strlen")
-	st.CallCount[i] = 9
-	st.DeniedCount[i] = 2
+	st.Funcs[i].Calls = 9
+	st.Funcs[i].Denied = 2
 	st.FuncErrno[i][1] = 3
 	st.GlobalErrno[1] = 3
 	st.Overflows = 1
 	st.DenyLog = []string{"x"}
 	st.Reset()
-	if st.TotalCalls() != 0 || st.DeniedCount[i] != 0 || st.FuncErrno[i][1] != 0 ||
+	if st.TotalCalls() != 0 || st.Funcs[i].Denied != 0 || st.FuncErrno[i][1] != 0 ||
 		st.GlobalErrno[1] != 0 || st.Overflows != 0 || st.DenyLog != nil {
 		t.Errorf("Reset left state: %+v", st)
 	}

@@ -68,19 +68,19 @@ func checkProfilingConsistency(t *testing.T, st *gen.State) uint64 {
 	t.Helper()
 	var total, funcErrno uint64
 	for i, name := range st.FuncNames() {
-		calls := st.CallCount[i]
+		calls := st.Funcs[i].Calls
 		hist := gen.HistTotal(st.ExecHist[i])
 		if hist != calls {
 			t.Errorf("%s: histogram bucket sum %d != call counter %d (lost increments)", name, hist, calls)
 		}
 		// libm probes never fault and the profiling wrapper never
 		// denies, so every counted call also completed every check.
-		if st.PassedCount[i] != calls {
-			t.Errorf("%s: PassedCount = %d, want %d (== calls)", name, st.PassedCount[i], calls)
+		if st.Funcs[i].Passed != calls {
+			t.Errorf("%s: Passed = %d, want %d (== calls)", name, st.Funcs[i].Passed, calls)
 		}
-		if st.DeniedCount[i] != 0 || st.SubstCount[i] != 0 || st.ContainedCount[i] != 0 {
+		if st.Funcs[i].Denied != 0 || st.Funcs[i].Substituted != 0 || st.Funcs[i].Contained != 0 {
 			t.Errorf("%s: deny/subst/contain = %d/%d/%d, want all 0 under pure profiling",
-				name, st.DeniedCount[i], st.SubstCount[i], st.ContainedCount[i])
+				name, st.Funcs[i].Denied, st.Funcs[i].Substituted, st.Funcs[i].Contained)
 		}
 		for _, n := range st.FuncErrno[i] {
 			funcErrno += n

@@ -57,27 +57,27 @@ func goldenSources(t *testing.T) MetricsSources {
 
 	st := gen.NewState(wrappers.ContainmentSoname)
 	i := st.Index("strcpy")
-	st.CallCount[i] = 12
-	st.ExecTime[i] = 9000
+	st.Funcs[i].Calls = 12
+	st.Funcs[i].ExecNS = 9000
 	st.ExecHist[i][3] = 4
 	st.ExecHist[i][7] = 8
 	st.FuncErrno[i][cval.EINVAL] = 3
 	st.GlobalErrno[cval.EINVAL] = 3
-	st.PassedCount[i] = 7
-	st.DeniedCount[i] = 4
-	st.SubstCount[i] = 1
-	st.ContainedCount[i] = 5
+	st.Funcs[i].Passed = 7
+	st.Funcs[i].Denied = 4
+	st.Funcs[i].Substituted = 1
+	st.Funcs[i].Contained = 5
 	st.ContainedByClass[i][gen.ClassCrash] = 3
 	st.ContainedByClass[i][gen.ClassHang] = 2
-	st.RetriedCount[i] = 2
-	st.BreakerTrips[i] = 1
+	st.Funcs[i].Retried = 2
+	st.Funcs[i].BreakerTrips = 1
 	j := st.Index("memcpy")
-	st.CallCount[j] = 3
-	st.ExecTime[j] = 600
+	st.Funcs[j].Calls = 3
+	st.Funcs[j].ExecNS = 600
 	st.ExecHist[j][5] = 3
 	st.FuncErrno[j][cval.ENOMEM] = 1
 	st.GlobalErrno[cval.ENOMEM] = 1
-	st.CorruptionCount[j] = 1
+	st.Funcs[j].SilentCorrupt = 1
 	st.Overflows = 2
 	seq := &xmlrep.SequenceReportDoc{
 		Scenario:     "textutil-words",

@@ -27,12 +27,12 @@ func TestMetricsContainmentFamily(t *testing.T) {
 
 	st := gen.NewState("libhealers_contain.so")
 	i := st.Index("strcpy")
-	st.CallCount[i] = 12
-	st.ContainedCount[i] = 4
-	st.RetriedCount[i] = 2
-	st.BreakerTrips[i] = 1
+	st.Funcs[i].Calls = 12
+	st.Funcs[i].Contained = 4
+	st.Funcs[i].Retried = 2
+	st.Funcs[i].BreakerTrips = 1
 	j := st.Index("strlen") // wrapped but never faulted
-	st.CallCount[j] = 3
+	st.Funcs[j].Calls = 3
 	if err := collect.Upload(col.Addr(), xmlrep.NewProfileLog("h", "app", st)); err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +117,8 @@ func TestMetricsOutcomeFamily(t *testing.T) {
 	}
 	st := gen.NewState("libhealers_contain.so")
 	i := st.Index("strdup")
-	st.CallCount[i] = 5
-	st.CorruptionCount[i] = 2
+	st.Funcs[i].Calls = 5
+	st.Funcs[i].SilentCorrupt = 2
 	if err := collect.Upload(col.Addr(), xmlrep.NewProfileLog("h", "app", st)); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestMetricsLabelEscaping(t *testing.T) {
 
 	st := gen.NewState("libhealers_prof.so")
 	for _, fn := range []string{"a\tb", "soft\u00adhyphen", `back\slash`, `q"uote`, "new\nline"} {
-		st.CallCount[st.Index(fn)] = 1
+		st.Funcs[st.Index(fn)].Calls = 1
 	}
 	seq := &xmlrep.SequenceReportDoc{
 		Scenario: "s",

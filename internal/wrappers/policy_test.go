@@ -206,15 +206,15 @@ func TestContainmentWrapperEndToEnd(t *testing.T) {
 		t.Errorf("contained strlen = %d, errno %d; want -1/EFAULT", v.Int32(), env.Errno)
 	}
 	idx := st.Index("strlen")
-	if st.ContainedCount[idx] != 1 {
-		t.Errorf("ContainedCount = %d, want 1", st.ContainedCount[idx])
+	if st.Funcs[idx].Contained != 1 {
+		t.Errorf("Contained = %d, want 1", st.Funcs[idx].Contained)
 	}
 	// The default breaker eventually flips strlen to upfront deny.
 	for i := 0; i < DefaultBreakerThreshold; i++ {
 		call("strlen", cval.Ptr(0))
 	}
-	if st.BreakerTrips[idx] != 1 {
-		t.Errorf("BreakerTrips = %d, want 1", st.BreakerTrips[idx])
+	if st.Funcs[idx].BreakerTrips != 1 {
+		t.Errorf("BreakerTrips = %d, want 1", st.Funcs[idx].BreakerTrips)
 	}
 	env.Errno = 0
 	call("strlen", cval.Ptr(0))
@@ -242,7 +242,7 @@ func TestContainmentWithArgCheckDeniesFirst(t *testing.T) {
 		t.Errorf("ret=%d errno=%d, want -1/EDenied", v.Int32(), env.Errno)
 	}
 	idx := st.Index("strlen")
-	if st.ContainedCount[idx] != 0 || st.DeniedCount[idx] != 1 {
-		t.Errorf("contained=%d denied=%d, want 0/1", st.ContainedCount[idx], st.DeniedCount[idx])
+	if st.Funcs[idx].Contained != 0 || st.Funcs[idx].Denied != 1 {
+		t.Errorf("contained=%d denied=%d, want 0/1", st.Funcs[idx].Contained, st.Funcs[idx].Denied)
 	}
 }

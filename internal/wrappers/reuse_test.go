@@ -22,12 +22,12 @@ import (
 // deny log, and its trace ring without durations.
 func stateReport(b *strings.Builder, st *gen.State) {
 	for i, name := range st.FuncNames() {
-		if st.CallCount[i] == 0 && st.DeniedCount[i] == 0 {
+		if st.Funcs[i].Calls == 0 && st.Funcs[i].Denied == 0 {
 			continue
 		}
 		fmt.Fprintf(b, "%s %s calls=%d passed=%d denied=%d contained=%d retried=%d hist=%d\n",
-			st.Soname, name, st.CallCount[i], st.PassedCount[i], st.DeniedCount[i],
-			st.ContainedCount[i], st.RetriedCount[i], gen.HistTotal(st.ExecHist[i]))
+			st.Soname, name, st.Funcs[i].Calls, st.Funcs[i].Passed, st.Funcs[i].Denied,
+			st.Funcs[i].Contained, st.Funcs[i].Retried, gen.HistTotal(st.ExecHist[i]))
 	}
 	for _, r := range st.DenyLog {
 		fmt.Fprintf(b, "%s deny %s\n", st.Soname, r)

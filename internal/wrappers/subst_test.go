@@ -55,8 +55,8 @@ func TestSubstSprintfTooFewArgs(t *testing.T) {
 		t.Errorf("argless sprintf = %d, errno %d; want -1/EDenied", v.Int32(), env.Errno)
 	}
 	idx := st.Index("sprintf")
-	if st.DeniedCount[idx] != 1 || st.CallCount[idx] != 1 {
-		t.Errorf("denied=%d calls=%d, want 1/1", st.DeniedCount[idx], st.CallCount[idx])
+	if st.Funcs[idx].Denied != 1 || st.Funcs[idx].Calls != 1 {
+		t.Errorf("denied=%d calls=%d, want 1/1", st.Funcs[idx].Denied, st.Funcs[idx].Calls)
 	}
 	// One destination but no format string is still too few.
 	dst, _ := env.Img.StaticString("xxxxxxxx")
@@ -82,8 +82,8 @@ func TestSubstGetsTooFewArgs(t *testing.T) {
 	if !v.IsNull() || env.Errno != cval.EDenied {
 		t.Errorf("argless gets = %v, errno %d; want NULL/EDenied", v, env.Errno)
 	}
-	if st.DeniedCount[st.Index("gets")] != 1 {
-		t.Errorf("DeniedCount = %d, want 1", st.DeniedCount[st.Index("gets")])
+	if st.Funcs[st.Index("gets")].Denied != 1 {
+		t.Errorf("Denied = %d, want 1", st.Funcs[st.Index("gets")].Denied)
 	}
 }
 
@@ -110,8 +110,8 @@ func TestSubstGetsUnwritableDestination(t *testing.T) {
 	if v, _ := call("gets", cval.Ptr(ro)); !v.IsNull() || env.Errno != cval.EDenied {
 		t.Errorf("gets(rodata) = %v, errno %d; want NULL/EDenied", v, env.Errno)
 	}
-	if got := st.DeniedCount[st.Index("gets")]; got != 2 {
-		t.Errorf("DeniedCount = %d, want 2", got)
+	if got := st.Funcs[st.Index("gets")].Denied; got != 2 {
+		t.Errorf("Denied = %d, want 2", got)
 	}
 }
 
@@ -177,10 +177,10 @@ func TestSubstSprintfParallelProbes(t *testing.T) {
 	}
 	wg.Wait()
 	idx := st.Index("sprintf")
-	if st.CallCount[idx] != workers*iters*2 {
-		t.Errorf("CallCount = %d, want %d", st.CallCount[idx], workers*iters*2)
+	if st.Funcs[idx].Calls != workers*iters*2 {
+		t.Errorf("Calls = %d, want %d", st.Funcs[idx].Calls, workers*iters*2)
 	}
-	if st.DeniedCount[idx] != workers*iters {
-		t.Errorf("DeniedCount = %d, want %d", st.DeniedCount[idx], workers*iters)
+	if st.Funcs[idx].Denied != workers*iters {
+		t.Errorf("Denied = %d, want %d", st.Funcs[idx].Denied, workers*iters)
 	}
 }

@@ -81,8 +81,8 @@ func TestRobustnessWrapperDeniesAndPasses(t *testing.T) {
 	if f != nil || !v.IsNull() || env.Errno != cval.EDenied {
 		t.Errorf("strchr(NULL) = %v, %v, errno %d", v, f, env.Errno)
 	}
-	if st.DeniedCount[st.Index("strlen")] != 1 {
-		t.Errorf("strlen denied count = %d", st.DeniedCount[st.Index("strlen")])
+	if st.Funcs[st.Index("strlen")].Denied != 1 {
+		t.Errorf("strlen denied count = %d", st.Funcs[st.Index("strlen")].Denied)
 	}
 }
 
@@ -122,8 +122,8 @@ func TestRobustnessSubstitutionSprintf(t *testing.T) {
 	if v, _ := call("sprintf", cval.Ptr(small), cval.Ptr(evil)); v.Int32() != -1 || env.Errno != cval.EDenied {
 		t.Errorf("sprintf %%n not rejected: %v errno %d", v, env.Errno)
 	}
-	if st.DeniedCount[st.Index("sprintf")] != 2 {
-		t.Errorf("sprintf denials = %d, want 2", st.DeniedCount[st.Index("sprintf")])
+	if st.Funcs[st.Index("sprintf")].Denied != 2 {
+		t.Errorf("sprintf denials = %d, want 2", st.Funcs[st.Index("sprintf")].Denied)
 	}
 }
 
@@ -251,8 +251,8 @@ func TestProfilingWrapperCollects(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		call0(t, call, "strlen", cval.Ptr(s))
 	}
-	if st.CallCount[st.Index("strlen")] != 5 {
-		t.Errorf("strlen count = %d", st.CallCount[st.Index("strlen")])
+	if st.Funcs[st.Index("strlen")].Calls != 5 {
+		t.Errorf("strlen count = %d", st.Funcs[st.Index("strlen")].Calls)
 	}
 	st.Reset()
 	if st.TotalCalls() != 0 {

@@ -6,8 +6,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
+	"healers/internal/cmem"
+	"healers/internal/ctypes"
+	"healers/internal/cval"
 	"healers/internal/gen"
 )
 
@@ -65,10 +67,10 @@ func TestPreObservabilityGolden(t *testing.T) {
 func TestProfileLogObservabilityRoundTrip(t *testing.T) {
 	st := gen.NewState("libhealers_prof.so")
 	idx := st.Index("strlen")
-	st.CallCount[idx] = 10
-	st.ExecTime[idx] = 1234 * time.Nanosecond
-	st.PassedCount[idx] = 9
-	st.SubstCount[idx] = 1
+	st.Funcs[idx].Calls = 10
+	st.Funcs[idx].ExecNS = 1234
+	st.Funcs[idx].Passed = 9
+	st.Funcs[idx].Substituted = 1
 	st.ExecHist[idx][0] = 3
 	st.ExecHist[idx][7] = 6
 	st.ExecHist[idx][39] = 1
@@ -115,18 +117,33 @@ func TestProfileLogObservabilityRoundTrip(t *testing.T) {
 	}
 }
 
-// TestContainmentCountersRoundTrip: the recovery layer's counters
-// (contained faults, retries, breaker trips) survive the profile
-// Marshal -> Unmarshal cycle as attributes on the per-function element,
-// alongside the pre-existing outcome counters.
+// TestContainmentCountersRoundTrip: a function's whole counter record
+// and the trace ring survive NewProfileLog -> Marshal -> Unmarshal as
+// they are. Every field of the record is set to its own nonzero value,
+// so a counter the document does not carry fails the one struct
+// comparison here.
 func TestContainmentCountersRoundTrip(t *testing.T) {
 	st := gen.NewState("libhealers_contain.so")
+	next := cval.CFunc(func(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
+		if len(args) > 1 {
+			env.Errno = 2 // ENOENT
+		}
+		return 0, nil
+	})
+	call := gen.MustGenerator(gen.MGTrace(4), gen.MGCaller()).Build(&ctypes.Prototype{Name: "strcpy", Ret: ctypes.Int}, &next, st)
+	env := cval.NewEnv()
+	for _, args := range [][]cval.Value{nil, {0x1000}, {0x2000, 0x10}} {
+		call(env, args)
+	}
 	idx := st.Index("strcpy")
-	st.CallCount[idx] = 9
-	st.DeniedCount[idx] = 6
-	st.ContainedCount[idx] = 5
-	st.RetriedCount[idx] = 2
-	st.BreakerTrips[idx] = 1
+	rec := reflect.ValueOf(&st.Funcs[idx]).Elem()
+	for i := range rec.NumField() {
+		if f := rec.Field(i); f.CanUint() {
+			f.SetUint(uint64(i + 1))
+		} else {
+			f.SetInt(int64(i + 1))
+		}
+	}
 
 	data, err := Marshal(NewProfileLog("host-a", "victim", st))
 	if err != nil {
@@ -139,13 +156,11 @@ func TestContainmentCountersRoundTrip(t *testing.T) {
 	if len(back.Funcs) != 1 {
 		t.Fatalf("round-trip lost functions: %+v", back.Funcs)
 	}
-	f := back.Funcs[0]
-	if f.Contained != 5 || f.Retried != 2 || f.BreakerTrips != 1 {
-		t.Errorf("containment counters = %d/%d/%d, want 5/2/1",
-			f.Contained, f.Retried, f.BreakerTrips)
+	if back.Funcs[0].FuncCounters != st.Funcs[idx] {
+		t.Errorf("counters = %+v, want %+v", back.Funcs[0].FuncCounters, st.Funcs[idx])
 	}
-	if f.Calls != 9 || f.Denied != 6 {
-		t.Errorf("older counters disturbed: %+v", f)
+	if got, want := back.TraceEntries(), st.Trace(); len(want) != 3 || !reflect.DeepEqual(got, want) {
+		t.Errorf("trace = %+v, want %+v (3 entries)", got, want)
 	}
 }
 

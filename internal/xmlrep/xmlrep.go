@@ -600,14 +600,8 @@ type LatencyXML struct {
 }
 
 // TraceEntryXML is one entry of the trace micro-generator's call ring in
-// a profile document.
-type TraceEntryXML struct {
-	Seq     uint64 `xml:"seq,attr"`
-	Func    string `xml:"func,attr"`
-	Args    string `xml:"args,attr,omitempty"`
-	DurNS   int64  `xml:"dur_ns,attr"`
-	Outcome string `xml:"outcome,attr"`
-}
+// a profile document: the ring's own entry type, attribute tags and all.
+type TraceEntryXML = gen.TraceEntry
 
 // TraceXML is the optional <trace> element of a profile log, wrapping the
 // recorded call ring (see LatencyXML for why it is a wrapper struct).
@@ -615,46 +609,10 @@ type TraceXML struct {
 	Calls []TraceEntryXML `xml:"call"`
 }
 
-// FuncCounters are a wrapped function's scalar counters, declared once
-// for the profile document and the collector's fleet aggregate. Every
-// counter after ExecNS is omitted from a document while it is zero, so
-// documents from before it existed parse with it at zero, readers that
-// predate it ignore it, and idle documents stay byte-identical to theirs.
-type FuncCounters struct {
-	// Calls is the call count; ExecNS the time spent in the function,
-	// nanoseconds.
-	Calls  uint64 `xml:"calls,attr"`
-	ExecNS int64  `xml:"exec_ns,attr"`
-	// Denied counts calls vetoed by a checking micro-generator, Passed
-	// calls that cleared every installed check, Substituted calls routed
-	// through a bounded substitution.
-	Denied      uint64 `xml:"denied,attr,omitempty"`
-	Passed      uint64 `xml:"passed,attr,omitempty"`
-	Substituted uint64 `xml:"substituted,attr,omitempty"`
-	// Contained counts faults caught and virtualized by the containment
-	// wrapper, Retried its policy-issued retry attempts, BreakerTrips
-	// its circuit-breaker trips.
-	Contained    uint64 `xml:"contained,attr,omitempty"`
-	Retried      uint64 `xml:"retried,attr,omitempty"`
-	BreakerTrips uint64 `xml:"breaker_trips,attr,omitempty"`
-	// SilentCorrupt counts runs where the function's call completed with
-	// a success status but the journal diff showed committed state
-	// diverging from the golden run.
-	SilentCorrupt uint64 `xml:"silent_corruption,attr,omitempty"`
-}
-
-// Add adds o's counters to c.
-func (c *FuncCounters) Add(o FuncCounters) {
-	c.Calls += o.Calls
-	c.ExecNS += o.ExecNS
-	c.Denied += o.Denied
-	c.Passed += o.Passed
-	c.Substituted += o.Substituted
-	c.Contained += o.Contained
-	c.Retried += o.Retried
-	c.BreakerTrips += o.BreakerTrips
-	c.SilentCorrupt += o.SilentCorrupt
-}
+// FuncCounters are a wrapped function's scalar counters: the wrapper
+// state's own per-function record, shared by the profile document and
+// the collector's fleet aggregate.
+type FuncCounters = gen.FuncCounters
 
 // FuncProfile is one wrapped function's statistics in a profile log.
 // Its counters' attributes follow name in FuncCounters' field order. The
@@ -728,17 +686,7 @@ func NewProfileLog(host, app string, st *gen.State) *ProfileLog {
 		log.Funcs = make([]FuncProfile, 0, len(names))
 	}
 	for i, name := range names {
-		fp := FuncProfile{Name: name, FuncCounters: FuncCounters{
-			Calls:         st.CallCount[i],
-			ExecNS:        st.ExecTime[i].Nanoseconds(),
-			Denied:        st.DeniedCount[i],
-			Passed:        st.PassedCount[i],
-			Substituted:   st.SubstCount[i],
-			Contained:     st.ContainedCount[i],
-			Retried:       st.RetriedCount[i],
-			BreakerTrips:  st.BreakerTrips[i],
-			SilentCorrupt: st.CorruptionCount[i],
-		}}
+		fp := FuncProfile{Name: name, FuncCounters: st.Funcs[i]}
 		for c, cnt := range st.ContainedByClass[i] {
 			if cnt > 0 {
 				fp.ContainedBy = append(fp.ContainedBy, ClassCount{
@@ -769,16 +717,7 @@ func NewProfileLog(host, app string, st *gen.State) *ProfileLog {
 	}
 	// An empty ring leaves the optional <trace> element out.
 	if ring := st.Trace(); len(ring) > 0 {
-		log.Trace = &TraceXML{Calls: make([]TraceEntryXML, len(ring))}
-		for i, t := range ring {
-			log.Trace.Calls[i] = TraceEntryXML{
-				Seq:     t.Seq,
-				Func:    t.Func,
-				Args:    t.Args,
-				DurNS:   t.Dur.Nanoseconds(),
-				Outcome: t.Outcome,
-			}
-		}
+		log.Trace = &TraceXML{Calls: ring}
 	}
 	return log
 }

@@ -132,8 +132,8 @@ func TestProfileLog(t *testing.T) {
 	fixedNow(t)
 	st := gen.NewState("libhealers_prof.so")
 	i := st.Index("strlen")
-	st.CallCount[i] = 42
-	st.ExecTime[i] = 1500 * time.Nanosecond
+	st.Funcs[i].Calls = 42
+	st.Funcs[i].ExecNS = 1500
 	st.FuncErrno[i][cval.EINVAL] = 3
 	st.GlobalErrno[cval.EINVAL] = 3
 	st.GlobalErrno[cval.MaxErrno] = 1

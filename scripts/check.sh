@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# The benchmark harness is its own module, so ./... never compiles it;
+# vet it against this checkout's packages, without the network.
+(cd perfbench && GOPROXY=off go vet .)
 go test -race ./...
 
 # Documentation hygiene: flags and README must agree in both
