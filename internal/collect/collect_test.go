@@ -511,14 +511,7 @@ func TestSequenceReportChecksumRejected(t *testing.T) {
 	if err := Upload(s.Addr(), doc); err != nil {
 		t.Fatalf("Upload: %v", err)
 	}
-	// Rejection is asynchronous; poll the stats counter.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().DocsRejected == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("tampered sequence report never rejected")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitRejected(t, s, 1)
 	if n := s.Count(); n != 0 {
 		t.Errorf("stored %d docs, want 0", n)
 	}

@@ -404,7 +404,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		n := binary.BigEndian.Uint32(hdr[:])
 		if n == 0 || n > MaxDocSize {
-			s.bumpFramesRejected()
+			s.bump(&s.stats.FramesRejected)
 			return // protocol violation ends the session
 		}
 		// Read deadline: once a frame is announced its body must arrive
@@ -414,7 +414,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		data, err := readBody(conn, int(n))
 		if err != nil {
-			s.bumpFramesRejected()
+			s.bump(&s.stats.FramesRejected)
 			return
 		}
 		if !s.dispatch(conn, from, data) {
@@ -431,9 +431,7 @@ func (s *Server) handle(conn net.Conn) {
 func (s *Server) dispatch(conn net.Conn, from string, data []byte) bool {
 	kind, err := xmlrep.Kind(data)
 	if err != nil {
-		s.mu.Lock()
-		s.stats.DocsRejected++
-		s.mu.Unlock()
+		s.bump(&s.stats.DocsRejected)
 		return true // unknown document; skip, keep the session
 	}
 	h, ok := s.cfg.handlers[kind]
@@ -442,9 +440,7 @@ func (s *Server) dispatch(conn net.Conn, from string, data []byte) bool {
 		return true
 	}
 	resp := h(from, data)
-	s.mu.Lock()
-	s.stats.RequestsHandled++
-	s.mu.Unlock()
+	s.bump(&s.stats.RequestsHandled)
 	if s.cfg.readTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.readTimeout))
 	}
@@ -462,9 +458,10 @@ func (s *Server) dropConn(conn net.Conn) {
 	s.mu.Unlock()
 }
 
-func (s *Server) bumpFramesRejected() {
+// bump adds one to the Stats counter c under the server lock.
+func (s *Server) bump(c *uint64) {
 	s.mu.Lock()
-	s.stats.FramesRejected++
+	*c++
 	s.mu.Unlock()
 }
 
@@ -479,13 +476,9 @@ func (s *Server) store(from string, kind xmlrep.DocKind, data []byte) {
 	var seq *xmlrep.SequenceReportDoc
 	switch kind {
 	case xmlrep.KindProfile:
-		prof, err = xmlrep.Unmarshal[xmlrep.ProfileLog](data)
-		if err != nil {
-			s.mu.Lock()
-			s.stats.DocsRejected++
-			s.mu.Unlock()
-			return
-		}
+		// The aggregate never reads the trace: the counters-only decode
+		// checks it exactly as strictly and builds none of it.
+		prof, err = xmlrep.UnmarshalProfileCounters(data)
 	case xmlrep.KindSequenceReport:
 		// Sequence reports carry an integrity checksum; a mismatched or
 		// unparseable document is rejected rather than aggregated — the
@@ -494,12 +487,10 @@ func (s *Server) store(from string, kind xmlrep.DocKind, data []byte) {
 		if err == nil {
 			err = xmlrep.Verify(seq)
 		}
-		if err != nil {
-			s.mu.Lock()
-			s.stats.DocsRejected++
-			s.mu.Unlock()
-			return
-		}
+	}
+	if err != nil {
+		s.bump(&s.stats.DocsRejected)
+		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"healers/internal/cmem"
 	"healers/internal/ctypes"
+	"healers/internal/cval"
 	"healers/internal/gen"
 	"healers/internal/xmlrep"
 )
@@ -26,6 +29,18 @@ func waitReceived(t *testing.T, s *Server, n uint64) {
 	for s.Stats().DocsReceived < n {
 		if time.Now().After(deadline) {
 			t.Fatalf("server received %d docs, want %d", s.Stats().DocsReceived, n)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// waitRejected polls until the server's rejected count hits n.
+func waitRejected(t *testing.T, s *Server, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().DocsRejected < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("server rejected %d docs, want %d", s.Stats().DocsRejected, n)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -322,15 +337,41 @@ func TestDocsSinceReportsEvictionGap(t *testing.T) {
 	}
 }
 
+// fillTrace arms st's trace ring with room for n entries and fills it
+// with n calls of fn through a trace micro-generator: every entry carries
+// argument words, and every other one an errno outcome.
+func fillTrace(t *testing.T, st *gen.State, fn string, n int) {
+	t.Helper()
+	next := cval.CFunc(func(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
+		if len(args)%2 == 0 {
+			env.Errno = cval.ENOENT
+		}
+		return 0, nil
+	})
+	call := gen.MustGenerator(gen.MGTrace(n), gen.MGCaller()).Build(&ctypes.Prototype{Name: fn, Ret: ctypes.Int}, &next, st)
+	env := cval.NewEnv()
+	for i := range n {
+		if _, f := call(env, []cval.Value{cval.Int(int64(i)), cval.Ptr(0x1000)}[:1+i%2]); f != nil {
+			t.Fatal(f)
+		}
+	}
+	if got := len(st.Trace()); got != n {
+		t.Fatalf("trace ring holds %d entries, want %d", got, n)
+	}
+}
+
 // TestIncrementalAggregationMatchesReparse pins the determinism of the
 // streaming aggregate: with no eviction, ingest-time accumulation and a
-// full re-parse of the stored XML must agree exactly.
+// full re-parse of the stored XML must agree exactly. Every profile
+// carries a filled trace ring, which ingest checks without building and
+// the re-parse builds.
 func TestIncrementalAggregationMatchesReparse(t *testing.T) {
 	s := startServer(t)
 	funcs := []string{"strlen", "malloc", "memcpy", "free", "strtol"}
 	n := 0
 	for i := 0; i < 12; i++ {
 		st := gen.NewState("libhealers_prof.so")
+		fillTrace(t, st, funcs[i%len(funcs)], 16+i)
 		for j, fn := range funcs {
 			st.Funcs[st.Index(fn)].Calls = uint64((i+1)*(j+3)) % 97
 		}
@@ -361,6 +402,109 @@ func TestIncrementalAggregationMatchesReparse(t *testing.T) {
 	}
 	if kinds := s.KindCounts(); kinds[xmlrep.KindProfile] != 12 || kinds[xmlrep.KindDeclarations] != 1 {
 		t.Errorf("kind counts = %v", kinds)
+	}
+	logs, err := s.Profiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(logs) != 12 {
+		t.Fatalf("%d profiles retained, want 12", len(logs))
+	}
+	for _, l := range logs {
+		var i int
+		if _, err := fmt.Sscanf(l.App, "app%d", &i); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(l.TraceEntries()); got != 16+i {
+			t.Errorf("profile %s re-parses with %d trace entries, want %d", l.App, got, 16+i)
+		}
+	}
+}
+
+// TestHostileTraceRejected: ingest checks a profile's <trace> as
+// strictly as a full decode, although it builds none of it. A profile
+// that is valid except for its trace is rejected, leaves the aggregate
+// as it was and is not retained; a trace whose strings hold references
+// is accepted, and RecentProfiles returns it in full.
+func TestHostileTraceRejected(t *testing.T) {
+	s := startServer(t)
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st := gen.NewState("libhealers_prof.so")
+	fillTrace(t, st, "strlen", 8)
+	st.Funcs[st.Index("strlen")].Calls = 8
+	good := mustMarshal(t, xmlrep.NewProfileLog("host", "app", st))
+	if err := c.SendRaw(good); err != nil {
+		t.Fatal(err)
+	}
+	waitReceived(t, s, 1)
+	before := s.Aggregate()
+
+	call := []byte(`<call seq="1"`)
+	if !bytes.Contains(good, call) {
+		t.Fatalf("rendered profile has no %s:\n%s", call, good)
+	}
+	for i, bad := range []struct{ old, new string }{
+		{`<call seq="1"`, `<call seq="x"`},
+		{`<call seq="1"`, `<call seq="&#49;" dur_ns="9223372036854775808"`},
+		{`<call seq="1"`, "<call seq=\"1\" args=\"\xff\""},
+		{`<call seq="1"`, `<call seq="1" outcome="&nbsp;"`},
+		{`<call seq="1"`, `<call seq="1" args="<"`},
+		{`</trace>`, `</call></trace>`},
+		{`</trace>`, `<call seq="9"></trace>`},
+		{`<call seq="1"`, `<call seq="1"><1x/></call><call seq="1"`},
+	} {
+		doc := bytes.Replace(good, []byte(bad.old), []byte(bad.new), 1)
+		if bytes.Equal(doc, good) {
+			t.Fatalf("rewrite %q left the document unchanged", bad.old)
+		}
+		if _, err := xmlrep.Unmarshal[xmlrep.ProfileLog](doc); err == nil {
+			t.Fatalf("the full decode accepts the rewrite %q -> %q", bad.old, bad.new)
+		}
+		if err := c.SendRaw(doc); err != nil {
+			t.Fatal(err)
+		}
+		waitRejected(t, s, uint64(i+1))
+		if st := s.Stats(); st.DocsReceived != 1 || st.DocsRetained != 1 {
+			t.Errorf("rewrite %q -> %q: %d received, %d retained, want 1 and 1", bad.old, bad.new, st.DocsReceived, st.DocsRetained)
+		}
+		if agg := s.Aggregate(); !reflect.DeepEqual(agg, before) {
+			t.Errorf("rewrite %q -> %q changed the aggregate:\n%+v\nwant %+v", bad.old, bad.new, agg, before)
+		}
+	}
+
+	// Strings that need references: the encoder writes the newline as
+	// &#xA;, which becomes the decimal &#10; a hand-written upload may use.
+	log := xmlrep.NewProfileLog("host", "refs", st)
+	log.Trace.Calls[0].Args = "a&b\n<c>"
+	doc := bytes.Replace(mustMarshal(t, log), []byte("&#xA;"), []byte("&#10;"), 1)
+	for _, ref := range []string{"&amp;", "&#10;", "&lt;"} {
+		if !bytes.Contains(doc, []byte(ref)) {
+			t.Fatalf("document holds no %s:\n%s", ref, doc)
+		}
+	}
+	if err := c.SendRaw(doc); err != nil {
+		t.Fatal(err)
+	}
+	waitReceived(t, s, 2)
+	if got := s.Aggregate().Funcs["strlen"].Calls; got != 16 {
+		t.Errorf("aggregate strlen calls = %d, want 16", got)
+	}
+	logs, _, err := s.RecentProfiles(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(logs) != 1 {
+		t.Fatalf("RecentProfiles(1) returned %d profiles", len(logs))
+	}
+	if got := logs[0].TraceEntries(); !reflect.DeepEqual(got, log.Trace.Calls) {
+		t.Errorf("RecentProfiles trace = %+v, want %+v", got, log.Trace.Calls)
+	}
+	if st := s.Stats(); st.DocsRejected != 8 {
+		t.Errorf("%d documents rejected, want 8", st.DocsRejected)
 	}
 }
 

@@ -21,9 +21,27 @@ import (
 // as encoding/xml skips them. The decoder never recurses: it keeps the
 // offsets of the open elements' names on a heap slice, so hostile nesting
 // costs heap proportional to the input and no stack.
-func decodeProfile(data []byte, log *ProfileLog) error {
-	d := profileDecoder{data: data, log: log}
+//
+// With counters set, the <trace> element is checked and not built: log's
+// Trace stays nil, and the document is accepted or rejected exactly as
+// without counters (FuzzProfileDecode holds the two modes together).
+func decodeProfile(data []byte, log *ProfileLog, counters bool) error {
+	d := profileDecoder{data: data, log: log, counters: counters}
 	return d.run()
+}
+
+// UnmarshalProfileCounters parses a profile document for its counters:
+// every field Unmarshal[ProfileLog] fills except Trace, which stays nil.
+// It accepts and rejects exactly the documents Unmarshal does; inside
+// <trace> it checks names, nesting, character data and the numeric seq
+// and dur_ns attributes, but builds no call entries. It is the
+// collector's ingest decode, whose aggregate never reads the trace.
+func UnmarshalProfileCounters(data []byte) (*ProfileLog, error) {
+	var log ProfileLog
+	if err := decodeProfile(data, &log, true); err != nil {
+		return nil, fmt.Errorf("xmlrep: unmarshal: %w", err)
+	}
+	return &log, nil
 }
 
 // profElem is a position in the ProfileLog schema: the element whose
@@ -105,6 +123,10 @@ type profileDecoder struct {
 	// val is scratch space for attribute values holding references or
 	// carriage returns.
 	val []byte
+	// counters leaves the trace unbuilt; a <call>'s numeric attributes
+	// are parsed into call, which no caller reads.
+	counters bool
+	call     TraceEntryXML
 }
 
 // syntaxError reports malformed input at byte offset off, in
@@ -252,7 +274,7 @@ func (d *profileDecoder) attr(elem profElem, i int) (int, error) {
 	if end == len(data) {
 		return 0, d.syntaxError(end, "unexpected EOF")
 	}
-	if elem != inUnknown {
+	if elem != inUnknown && !d.drops(elem, name) {
 		v := data[i+1 : end]
 		if decode {
 			v = d.decodeValue(v)
@@ -262,6 +284,13 @@ func (d *profileDecoder) attr(elem profElem, i int) (int, error) {
 		}
 	}
 	return end + 1, nil
+}
+
+// drops reports whether the counters mode leaves attribute name of elem
+// unread: every trace attribute but a call's seq and dur_ns, whose parse
+// can reject the document. Reading any other one cannot.
+func (d *profileDecoder) drops(elem profElem, name []byte) bool {
+	return d.counters && (elem == inTrace || elem == inCall && string(name) != "seq" && string(name) != "dur_ns")
 }
 
 // endTag reads the end tag whose name begins at i and leaves the element.
@@ -356,9 +385,13 @@ func declParam(s []byte, param string) []byte {
 // encoding/xml reuses a non-nil pointer field. The two long lists,
 // functions and trace calls, are sized once by counting their tags in
 // the input, an upper bound that halves the bytes a pool-shaped profile
-// allocates against growing them by append.
+// allocates against growing them by append. The counters mode allocates
+// nothing for the trace.
 func (d *profileDecoder) enter(e profElem) {
 	l := d.log
+	if d.counters && (e == inTrace || e == inCall) {
+		return
+	}
 	switch e {
 	case inFunc:
 		if l.Funcs == nil {
@@ -474,7 +507,10 @@ func (d *profileDecoder) assign(e profElem, name, v []byte) error {
 			return parseUint(&b.Count, name, v)
 		}
 	case inCall:
-		c := &l.Trace.Calls[len(l.Trace.Calls)-1]
+		c := &d.call
+		if !d.counters {
+			c = &l.Trace.Calls[len(l.Trace.Calls)-1]
+		}
 		switch string(name) {
 		case "seq":
 			return parseUint(&c.Seq, name, v)

@@ -21,12 +21,16 @@ import (
 //   - complete: the decoder accepts whatever xml.Unmarshal accepts,
 //     unless the input holds a construct outside the accepted subset.
 //
+// It also holds the counters mode to the full decode: the two report the
+// same error or both accept, and then the counters mode fills every
+// field as the full decode does except Trace, which it leaves nil.
+//
 // It returns whether the decoder accepted.
 func checkProfileDecode(t *testing.T, data []byte) bool {
 	t.Helper()
-	var want, got ProfileLog
+	var want, got, counters ProfileLog
 	wantErr := xml.Unmarshal(data, &want)
-	gotErr := decodeProfile(data, &got)
+	gotErr := decodeProfile(data, &got, false)
 	switch {
 	case gotErr == nil && wantErr != nil:
 		t.Fatalf("decoder accepts a document encoding/xml rejects (%v):\n%q", wantErr, data)
@@ -34,6 +38,15 @@ func checkProfileDecode(t *testing.T, data []byte) bool {
 		t.Fatalf("decoder and encoding/xml disagree on\n%q\ndecoder:      %#v\nencoding/xml: %#v", data, got, want)
 	case gotErr != nil && wantErr == nil && !outsideSubset(data):
 		t.Fatalf("decoder rejects a document encoding/xml accepts (%v):\n%q", gotErr, data)
+	}
+	countersErr := decodeProfile(data, &counters, true)
+	untraced := got
+	untraced.Trace = nil
+	switch {
+	case (countersErr == nil) != (gotErr == nil) || gotErr != nil && gotErr.Error() != countersErr.Error():
+		t.Fatalf("counters mode and full decode disagree on\n%q\nfull:     %v\ncounters: %v", data, gotErr, countersErr)
+	case gotErr == nil && !reflect.DeepEqual(counters, untraced):
+		t.Fatalf("counters mode and full decode fill different counters from\n%q\nfull:     %#v\ncounters: %#v", data, untraced, counters)
 	}
 	return gotErr == nil
 }
@@ -117,6 +130,12 @@ var profileEdgeCases = []struct {
 	{"uint64 max", `<healers-profile overflows="18446744073709551615"/>`, true},
 	{"int64 overflow", `<healers-profile><function exec_ns="9223372036854775808"/></healers-profile>`, false},
 	{"not a number", `<healers-profile><trace><call seq="x"/></trace></healers-profile>`, false},
+	{"numeric call attribute as a reference", `<healers-profile><trace><call seq="&#49;" dur_ns="&#32;7"/></trace></healers-profile>`, true},
+	{"bad dur_ns", `<healers-profile><trace><call seq="1" dur_ns="9223372036854775808"/></trace></healers-profile>`, false},
+	{"references in call strings", `<healers-profile><trace><call func="f" args="&amp;&#10;&lt;" outcome="&#x6F;k"/></trace></healers-profile>`, true},
+	{"invalid UTF-8 in args", "<healers-profile><trace><call seq=\"1\" args=\"\xff\"/></trace></healers-profile>", false},
+	{"unknown child inside a call", `<healers-profile><trace><call seq="1"><frame pc="x"><x/></frame></call></trace></healers-profile>`, true},
+	{"</trace> closing a call", `<healers-profile><trace><call seq="1"></trace></healers-profile>`, false},
 	{"last duplicate attribute wins", `<healers-profile host="a" host="b"><function calls="1" calls="2"/></healers-profile>`, true},
 	{"every duplicate is parsed", `<healers-profile><function calls="x" calls="2"/></healers-profile>`, false},
 	{"unknown attributes and elements", `<healers-profile future="1"><function name="f" x="y"><future a="b"><function calls="9"/></future><error errno="E" count="1"><x/></error></function><future/></healers-profile>`, true},
@@ -238,7 +257,7 @@ func TestProfileDecodeLongAttribute(t *testing.T) {
 		doc := []byte(`<healers-profile host="` + v + `"><function name="` + v + `"/></healers-profile>`)
 		start := time.Now()
 		var log ProfileLog
-		if err := decodeProfile(doc, &log); err != nil {
+		if err := decodeProfile(doc, &log, false); err != nil {
 			t.Fatal(err)
 		}
 		// Linear work is milliseconds even under the race detector; a
@@ -251,20 +270,26 @@ func TestProfileDecodeLongAttribute(t *testing.T) {
 }
 
 // BenchmarkProfileDecode parses a pool-shaped profile (94 functions, a
-// 256-entry trace ring; 30 KB) with the decoder the collector uses and
-// with encoding/xml, the decoder's oracle.
+// 256-entry trace ring; 30 KB) with the decoder in both its modes (the
+// collector's ingest uses counters) and with encoding/xml, the decoder's
+// oracle.
 func BenchmarkProfileDecode(b *testing.B) {
 	data := readTestdata(b, "profile_pool.xml")
-	b.Run("decoder", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(data)))
-		for b.Loop() {
-			var log ProfileLog
-			if err := decodeProfile(data, &log); err != nil {
-				b.Fatal(err)
+	for _, mode := range []struct {
+		name     string
+		counters bool
+	}{{"decoder", false}, {"counters", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			for b.Loop() {
+				var log ProfileLog
+				if err := decodeProfile(data, &log, mode.counters); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 	b.Run("encoding-xml", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(data)))

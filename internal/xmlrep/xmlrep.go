@@ -1005,7 +1005,7 @@ func Unmarshal[T any](data []byte) (*T, error) {
 	var err error
 	switch p := any(&doc).(type) {
 	case *ProfileLog:
-		err = decodeProfile(data, p)
+		err = decodeProfile(data, p, false)
 	default:
 		err = xml.Unmarshal(data, p)
 	}
