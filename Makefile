@@ -64,7 +64,8 @@ ci-bench-smoke:
 	go test -run '^$$' -bench . -benchtime=1x ./...
 
 # Documentation hygiene as its own job: flag/README agreement, godoc
-# coverage, comment placement (vet), and repo-wide gofmt.
+# coverage, the test-only surface scan, comment placement (vet), and
+# repo-wide gofmt.
 ci-docs: docs
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt needed:"; echo "$$fmt"; exit 1; fi
@@ -72,10 +73,13 @@ ci-docs: docs
 # Documentation hygiene: flags and README.md must agree in both
 # directions, the embedding API's exported surface must be godoc'd
 # (audit script plus go vet, which also proofreads comment placement),
-# and the examples must be gofmt-clean.
+# no exported identifier under internal/ may be called from tests alone
+# (scripts/testonly, with its keep list), and the examples must be
+# gofmt-clean.
 docs:
 	sh scripts/check-docs.sh
 	sh scripts/check-godoc.sh
+	go run ./scripts/testonly
 	go vet ./internal/wrappers ./internal/collect
 	@fmt=$$(gofmt -l examples); if [ -n "$$fmt" ]; then \
 		echo "gofmt needed in examples:"; echo "$$fmt"; exit 1; fi

@@ -14,8 +14,8 @@ func TestMallocFreeViaLibc(t *testing.T) {
 	if p.IsNull() {
 		t.Fatal("malloc returned NULL")
 	}
-	if sz, ok := c.env.Img.Heap.UsableSize(p.Addr()); !ok || sz != 100 {
-		t.Errorf("UsableSize = %d,%v", sz, ok)
+	if base, sz, ok := c.env.Img.Heap.ChunkRange(p.Addr()); !ok || base != p.Addr() || sz != 100 {
+		t.Errorf("ChunkRange = %s,%d,%v", base, sz, ok)
 	}
 	c.call("free", p)
 	if c.env.Img.Heap.InUse(p.Addr()) {

@@ -39,9 +39,6 @@ double atan2(double y, double x);
 int isnan_d(double x);
 `
 
-// Header returns the math library's header text (for scan tooling).
-func Header() string { return header }
-
 // d wraps a float64 into a Value.
 func d(v float64) cval.Value { return cval.Uint(math.Float64bits(v)) }
 

@@ -94,12 +94,6 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("%s: %s at %s", f.Kind, f.Op, f.Addr)
 }
 
-// IsCrash reports whether the fault would have terminated a real process
-// abnormally (as opposed to FaultNone).
-func (f *Fault) IsCrash() bool {
-	return f != nil && f.Kind != FaultNone
-}
-
 // segv builds a FaultSegv fault.
 func segv(op string, a Addr, detail string) *Fault {
 	return &Fault{Kind: FaultSegv, Addr: a, Op: op, Detail: detail}

@@ -381,15 +381,6 @@ func (h *Heap) Realloc(p Addr, n uint32) (Addr, *Fault) {
 	return q, nil
 }
 
-// UsableSize returns the requested size of the live allocation at p.
-func (h *Heap) UsableSize(p Addr) (uint32, bool) {
-	c, ok := h.byUser[p]
-	if !ok {
-		return 0, false
-	}
-	return c.req, true
-}
-
 // ChunkRange returns the [user, user+req) extent of the live allocation
 // that contains address a, if any. The security wrapper uses it to decide
 // whether a write of a given length can stay inside its buffer.
@@ -454,15 +445,4 @@ func (h *Heap) Stats() HeapStats { return h.stats }
 func (h *Heap) InUse(p Addr) bool {
 	_, ok := h.byUser[p]
 	return ok
-}
-
-// Walk calls fn for every chunk in address order with its user address,
-// requested size, and in-use flag; fn returning false stops the walk.
-// Diagnostic tooling uses it for heap dumps.
-func (h *Heap) Walk(fn func(user Addr, req uint32, used bool) bool) {
-	for c := h.head; c != nil; c = c.next {
-		if !fn(c.user(), c.req, c.used) {
-			return
-		}
-	}
 }

@@ -24,8 +24,8 @@ func TestMallocBasics(t *testing.T) {
 	if !sp.Mapped(p, 100, ProtRW) {
 		t.Error("allocation is not mapped RW")
 	}
-	if sz, ok := h.UsableSize(p); !ok || sz != 100 {
-		t.Errorf("UsableSize = %d,%v; want 100,true", sz, ok)
+	if base, sz, ok := h.ChunkRange(p + 99); !ok || base != p || sz != 100 {
+		t.Errorf("ChunkRange = %s,%d,%v; want %s,100,true", base, sz, ok, p)
 	}
 	// The user area must be writable end to end.
 	buf := make([]byte, 100)
@@ -236,8 +236,8 @@ func TestReallocShrinkInPlace(t *testing.T) {
 	if q != p {
 		t.Errorf("shrinking realloc moved from %s to %s", p, q)
 	}
-	if sz, _ := h.UsableSize(q); sz != 10 {
-		t.Errorf("UsableSize after shrink = %d, want 10", sz)
+	if _, sz, _ := h.ChunkRange(q); sz != 10 {
+		t.Errorf("chunk size after shrink = %d, want 10", sz)
 	}
 }
 
@@ -362,29 +362,6 @@ func TestHeapStats(t *testing.T) {
 	}
 	if st.InUseBytes != 30 {
 		t.Errorf("InUseBytes = %d, want 30", st.InUseBytes)
-	}
-}
-
-func TestWalkOrder(t *testing.T) {
-	_, h := newTestHeap(t)
-	want := []Addr{h.Malloc(8), h.Malloc(8), h.Malloc(8)}
-	var got []Addr
-	h.Walk(func(user Addr, req uint32, used bool) bool {
-		if used {
-			got = append(got, user)
-		}
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("Walk visited %d chunks, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Walk[%d] = %s, want %s", i, got[i], want[i])
-		}
-		if i > 0 && got[i] <= got[i-1] {
-			t.Errorf("Walk not address ordered at %d", i)
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package cmem
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"weak"
 )
@@ -138,36 +137,4 @@ func (im *Image) LiteralString(s string) (Addr, *Fault) {
 // upper bound for diagnostics.
 func (im *Image) CString(a Addr) (string, *Fault) {
 	return im.Space.ReadCString(a, 1<<20)
-}
-
-// HexDump renders n bytes starting at a in the classic 16-byte-row hex +
-// ASCII format. Unmapped bytes render as "..". Used by the attack demo and
-// by failing tests for legible context.
-func (im *Image) HexDump(a Addr, n uint32) string {
-	var b strings.Builder
-	for row := uint32(0); row < n; row += 16 {
-		fmt.Fprintf(&b, "%s  ", a+Addr(row))
-		var ascii [16]byte
-		for col := uint32(0); col < 16; col++ {
-			if row+col >= n {
-				b.WriteString("   ")
-				ascii[col] = ' '
-				continue
-			}
-			c, f := im.Space.ReadByteAt(a + Addr(row+col))
-			if f != nil {
-				b.WriteString(".. ")
-				ascii[col] = '.'
-				continue
-			}
-			fmt.Fprintf(&b, "%02x ", c)
-			if c >= 0x20 && c < 0x7f {
-				ascii[col] = c
-			} else {
-				ascii[col] = '.'
-			}
-		}
-		fmt.Fprintf(&b, " |%s|\n", string(ascii[:]))
-	}
-	return b.String()
 }

@@ -288,21 +288,6 @@ func (s *Space) Map(base Addr, size uint32, p Prot) *Fault {
 	return nil
 }
 
-// Unmap removes every whole page covered by [base, base+size). Unmapping an
-// unmapped page is ignored, matching munmap semantics.
-func (s *Space) Unmap(base Addr, size uint32) {
-	if size == 0 {
-		return
-	}
-	first, last := pageRange(base, size)
-	for pn := first; pn <= last; pn++ {
-		if s.pageOf(pn<<pageShift) != nil {
-			*s.own(pn << pageShift) = page{}
-			s.npages--
-		}
-	}
-}
-
 // Protect changes the protection of every page covered by [base,
 // base+size). Unmapped pages fault.
 func (s *Space) Protect(base Addr, size uint32, p Prot) *Fault {
@@ -535,30 +520,9 @@ func (s *Space) Fill(a Addr, n uint32, v byte) *Fault {
 	return nil
 }
 
-// ReadU16 loads a little-endian 16-bit value. Misaligned wide accesses are
-// SIGBUS, matching strict-alignment hardware; the injector exercises this.
-func (s *Space) ReadU16(a Addr) (uint16, *Fault) {
-	if a&1 != 0 {
-		return 0, &Fault{Kind: FaultBus, Addr: a, Op: "read2", Detail: "misaligned"}
-	}
-	var buf [2]byte
-	if f := s.Read(a, buf[:]); f != nil {
-		return 0, f
-	}
-	return binary.LittleEndian.Uint16(buf[:]), nil
-}
-
-// WriteU16 stores a little-endian 16-bit value.
-func (s *Space) WriteU16(a Addr, v uint16) *Fault {
-	if a&1 != 0 {
-		return &Fault{Kind: FaultBus, Addr: a, Op: "write2", Detail: "misaligned"}
-	}
-	var buf [2]byte
-	binary.LittleEndian.PutUint16(buf[:], v)
-	return s.Write(a, buf[:])
-}
-
-// ReadU32 loads a little-endian 32-bit value.
+// ReadU32 loads a little-endian 32-bit value. Misaligned wide accesses
+// are SIGBUS, matching strict-alignment hardware; the injector exercises
+// this.
 func (s *Space) ReadU32(a Addr) (uint32, *Fault) {
 	if a&3 != 0 {
 		return 0, &Fault{Kind: FaultBus, Addr: a, Op: "read4", Detail: "misaligned"}

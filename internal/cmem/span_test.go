@@ -50,15 +50,6 @@ func (r *refSpace) Map(base Addr, size uint32, p Prot) *Fault {
 	return nil
 }
 
-func (r *refSpace) Unmap(base Addr, size uint32) {
-	if size == 0 {
-		return
-	}
-	for pn := base >> pageShift; pn <= (base+Addr(size)-1)>>pageShift; pn++ {
-		delete(r.pages, pn)
-	}
-}
-
 func (r *refSpace) Protect(base Addr, size uint32, p Prot) *Fault {
 	if size == 0 {
 		return nil
@@ -203,7 +194,7 @@ func (r *refSpace) readMappedCString(a Addr, max uint32) (string, bool, *Fault) 
 	return "", false, nil
 }
 
-// readWide and writeWide are ReadU16/32/64 and WriteU16/32/64: the
+// readWide and writeWide are ReadU32/64 and WriteU32/64: the
 // alignment check, then little-endian bytes through Read or Write.
 func (r *refSpace) readWide(a Addr, width int) (uint64, *Fault) {
 	if a&Addr(width-1) != 0 {
@@ -389,12 +380,7 @@ func runSpanProgram(t *testing.T, data []byte) {
 			a, n, pr := p.addr(), uint32(p.u16())%(4*PageSize)+1, Prot(p.u8()%4)
 			what = fmt.Sprintf("Map(%s, %d, %s)", a, n, pr)
 			gf, wf = sp.Map(a, n, pr), ref.Map(a, n, pr)
-		case 2:
-			a, n := p.addr(), uint32(p.u16())%(2*PageSize)
-			what = fmt.Sprintf("Unmap(%s, %d)", a, n)
-			sp.Unmap(a, n)
-			ref.Unmap(a, n)
-		case 3:
+		case 2, 3:
 			a, n, pr := p.addr(), uint32(p.u16())%(2*PageSize), Prot(p.u8()%4)
 			what = fmt.Sprintf("Protect(%s, %d, %s)", a, n, pr)
 			gf, wf = sp.Protect(a, n, pr), ref.Protect(a, n, pr)
@@ -451,34 +437,26 @@ func runSpanProgram(t *testing.T, data []byte) {
 			ws, wf = ref.ReadCString(a, max)
 			got, want = gs, ws
 		case 13:
-			a, width := p.addr(), 2<<(p.u8()%3)
+			a, width := p.addr(), 8>>(p.u8()%2)
 			what = fmt.Sprintf("ReadU%d(%s)", 8*width, a)
 			var gv uint64
-			switch width {
-			case 2:
-				var v uint16
-				v, gf = sp.ReadU16(a)
-				gv = uint64(v)
-			case 4:
+			if width == 4 {
 				var v uint32
 				v, gf = sp.ReadU32(a)
 				gv = uint64(v)
-			default:
+			} else {
 				gv, gf = sp.ReadU64(a)
 			}
 			wv, f := ref.readWide(a, width)
 			got, want, wf = gv, wv, f
 		case 14:
-			a, width := p.addr(), 2<<(p.u8()%3)
+			a, width := p.addr(), 8>>(p.u8()%2)
 			v := uint64(p.u16())<<48 | uint64(p.u16())<<16 | uint64(p.u16())
 			v &= 1<<(8*width) - 1
 			what = fmt.Sprintf("WriteU%d(%s, %#x)", 8*width, a, v)
-			switch width {
-			case 2:
-				gf = sp.WriteU16(a, uint16(v))
-			case 4:
+			if width == 4 {
 				gf = sp.WriteU32(a, uint32(v))
-			default:
+			} else {
 				gf = sp.WriteU64(a, v)
 			}
 			wf = ref.writeWide(a, width, v)
@@ -617,10 +595,6 @@ func opMap(base byte, off int16, size uint16, p Prot) []byte {
 
 func opProtect(base byte, off int16, size uint16, p Prot) []byte {
 	return progOp(3, base, off, append(progU16(size), byte(p))...)
-}
-
-func opUnmap(base byte, off int16, size uint16) []byte {
-	return progOp(2, base, off, progU16(size)...)
 }
 
 func opFuel(n int16) []byte { return append([]byte{4}, progU16(uint16(n))...) }
@@ -830,7 +804,6 @@ var spanCases = []struct {
 		opWrite(baseLow, 0x1ff0, 0x20, 1),
 		opRollback,
 		opSwitch,
-		opUnmap(baseLeafEdge, 0, PageSize),
 		opMap(baseLeafEdge, 2*PageSize, PageSize, ProtRW),
 		opStrlen(baseLeafEdge, 0x1000),
 		opSwitch,

@@ -9,7 +9,6 @@ import "fmt"
 // layout that HEALERS' companion defence (libsafe-style) verifies.
 type Stack struct {
 	sp     *Space
-	top    Addr // highest address (exclusive)
 	bottom Addr // lowest mapped address
 	cur    Addr // current stack pointer (grows down)
 
@@ -24,30 +23,10 @@ type stackFrame struct {
 	canary Addr // address of the canary word, 0 when unguarded
 }
 
-// Frame describes one live stack frame for diagnostics and defence checks.
-type Frame struct {
-	// Base is the frame's highest address (the caller's stack pointer).
-	Base Addr
-	// RetSlot is the address holding the simulated return address.
-	RetSlot Addr
-	// CanaryAddr is the guard word location, or 0 if the frame is
-	// unguarded.
-	CanaryAddr Addr
-}
-
-// NewStack maps a stack of the given size ending at top and returns it.
-func NewStack(sp *Space, top Addr, size uint32) (*Stack, *Fault) {
-	if f := sp.Map(top-Addr(size), size, ProtRW); f != nil {
-		return nil, f
-	}
-	return newStack(sp, top, size), nil
-}
-
 // newStack returns a stack over the already mapped [top-size, top).
 func newStack(sp *Space, top Addr, size uint32) *Stack {
 	return &Stack{
 		sp:     sp,
-		top:    top,
 		bottom: top - Addr(size),
 		cur:    top,
 		secret: 0xb5ad4eceda1ce2a9,
@@ -56,12 +35,6 @@ func newStack(sp *Space, top Addr, size uint32) *Stack {
 
 // SetGuards toggles canary placement for future frames.
 func (s *Stack) SetGuards(on bool) { s.guards = on }
-
-// Pointer returns the current simulated stack pointer.
-func (s *Stack) Pointer() Addr { return s.cur }
-
-// Depth returns the number of live frames.
-func (s *Stack) Depth() int { return len(s.frames) }
 
 func (s *Stack) canaryValue(a Addr) uint64 {
 	return s.secret ^ uint64(a)<<1 ^ 0x00ff00ff00ff00ff
@@ -126,15 +99,6 @@ func (s *Stack) PopFrame() (uint64, *Fault) {
 	return ret, nil
 }
 
-// TopFrame returns the innermost live frame.
-func (s *Stack) TopFrame() (Frame, bool) {
-	if len(s.frames) == 0 {
-		return Frame{}, false
-	}
-	fr := s.frames[len(s.frames)-1]
-	return Frame{Base: fr.base, RetSlot: fr.retsl, CanaryAddr: fr.canary}, true
-}
-
 // CheckGuards verifies every live guarded frame's canary without popping.
 func (s *Stack) CheckGuards() *Fault {
 	for i := len(s.frames) - 1; i >= 0; i-- {
@@ -152,9 +116,4 @@ func (s *Stack) CheckGuards() *Fault {
 		}
 	}
 	return nil
-}
-
-// Contains reports whether [a, a+n) lies entirely inside the stack region.
-func (s *Stack) Contains(a Addr, n uint32) bool {
-	return a >= s.bottom && a+Addr(n) >= a && a+Addr(n) <= s.top
 }

@@ -49,9 +49,9 @@ func TestUploadAndQuery(t *testing.T) {
 		t.Fatalf("Upload: %v", err)
 	}
 	waitCount(t, s, 1)
-	docs := s.Docs(xmlrep.KindProfile)
+	docs, _, _ := s.DocsSince(0)
 	if len(docs) != 1 || docs[0].Kind != xmlrep.KindProfile {
-		t.Fatalf("Docs = %+v", docs)
+		t.Fatalf("DocsSince(0) = %+v", docs)
 	}
 	if docs[0].From == "" || docs[0].At.IsZero() {
 		t.Error("document metadata missing")
@@ -124,13 +124,18 @@ func TestMultipleDocsOneSession(t *testing.T) {
 		t.Fatalf("Send decl: %v", err)
 	}
 	waitCount(t, s, 4)
-	if n := len(s.Docs(xmlrep.KindProfile)); n != 3 {
+	docs, _, _ := s.DocsSince(0)
+	kinds := map[xmlrep.DocKind]int{}
+	for _, d := range docs {
+		kinds[d.Kind]++
+	}
+	if n := kinds[xmlrep.KindProfile]; n != 3 {
 		t.Errorf("profiles = %d, want 3", n)
 	}
-	if n := len(s.Docs(xmlrep.KindDeclarations)); n != 1 {
+	if n := kinds[xmlrep.KindDeclarations]; n != 1 {
 		t.Errorf("declarations = %d, want 1", n)
 	}
-	if n := len(s.Docs("")); n != 4 {
+	if n := len(docs); n != 4 {
 		t.Errorf("all docs = %d, want 4", n)
 	}
 }
@@ -491,8 +496,8 @@ func TestSequenceReportIngestion(t *testing.T) {
 		t.Fatalf("Upload: %v", err)
 	}
 	waitCount(t, s, 1)
-	if n := len(s.Docs(xmlrep.KindSequenceReport)); n != 1 {
-		t.Fatalf("sequence-report docs = %d, want 1", n)
+	if docs, _, _ := s.DocsSince(0); len(docs) != 1 || docs[0].Kind != xmlrep.KindSequenceReport {
+		t.Fatalf("DocsSince(0) = %+v, want one sequence report", docs)
 	}
 	agg := s.Aggregate()
 	for out, want := range map[string]uint64{"crash": 3, "silent-corruption": 2, "ok": 1} {

@@ -112,9 +112,9 @@ func TestSpoolerRoundTripsObservabilityDoc(t *testing.T) {
 	}
 	waitDocs(t, srv, 1)
 
-	docs := srv.Docs(xmlrep.KindProfile)
-	if len(docs) != 1 {
-		t.Fatalf("server holds %d profile docs, want 1", len(docs))
+	docs, _, _ := srv.DocsSince(0)
+	if len(docs) != 1 || docs[0].Kind != xmlrep.KindProfile {
+		t.Fatalf("server holds %+v, want one profile doc", docs)
 	}
 	if !bytes.Equal(docs[0].Data, data) {
 		t.Errorf("document mutated in flight:\nsent %q\ngot  %q", data, docs[0].Data)

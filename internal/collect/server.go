@@ -550,19 +550,6 @@ func (s *Server) Count() int {
 	return len(s.docs) - s.head
 }
 
-// Docs returns retained documents of one kind ("" for all).
-func (s *Server) Docs(kind xmlrep.DocKind) []Received {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Received
-	for _, d := range s.docs[s.head:] {
-		if kind == "" || d.Kind == kind {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // DocsSince returns the retained documents with sequence number >= seq,
 // the cursor to pass next time, and the number of documents in [seq,
 // next) that were evicted before this poll could see them — a pollable

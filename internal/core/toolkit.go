@@ -628,8 +628,9 @@ func (t *Toolkit) VerifyHardening(target string, opts ...inject.CampaignOption) 
 	return &HardeningResult{Before: before, After: after}, api, nil
 }
 
-// Linkmap builds the load map for an application without running it, for
-// scan tooling that wants search-order detail.
+// Linkmap builds the load map for an application without running it.
+// It is kept for TestLinkmapQuery, which shows a preloaded wrapper
+// interposing ahead of libc in the search order (§2).
 func (t *Toolkit) Linkmap(app string, preloads []string) (*dynlink.Linkmap, error) {
 	return dynlink.Load(t.sys, app, preloads)
 }

@@ -12,8 +12,6 @@ type Need struct {
 	// Bytes is the number of bytes the callee touches through this
 	// pointer; 0 means "at least one byte / unknown".
 	Bytes uint32
-	// WantNul requires a NUL terminator within the readable span.
-	WantNul bool
 }
 
 // CheckFunc is a run-time validity predicate for one lattice level. It

@@ -97,18 +97,12 @@ var (
 	Void     = &CType{Kind: KindVoid}
 	Char     = &CType{Kind: KindChar}
 	Int      = &CType{Kind: KindInt}
-	UInt     = &CType{Kind: KindUInt}
 	Long     = &CType{Kind: KindLong}
 	LongLong = &CType{Kind: KindLongLong}
 	SizeT    = &CType{Kind: KindSizeT}
 	SSizeT   = &CType{Kind: KindSSizeT}
 	Double   = &CType{Kind: KindDouble}
-	CharPtr  = &CType{Kind: KindPtr, Elem: Char}
-	// ConstCharPtr is const char*.
-	ConstCharPtr = &CType{Kind: KindPtr, Elem: &CType{Kind: KindChar, Const: true}}
-	VoidPtr      = &CType{Kind: KindPtr, Elem: Void}
-	ConstVoidPtr = &CType{Kind: KindPtr, Elem: &CType{Kind: KindVoid, Const: true}}
-	FuncPtr      = &CType{Kind: KindFuncPtr}
+	FuncPtr  = &CType{Kind: KindFuncPtr}
 )
 
 // PtrTo returns a pointer type to t.
@@ -117,18 +111,6 @@ func PtrTo(t *CType) *CType { return &CType{Kind: KindPtr, Elem: t} }
 // IsPointer reports whether the type is any pointer (data or function).
 func (t *CType) IsPointer() bool {
 	return t != nil && (t.Kind == KindPtr || t.Kind == KindFuncPtr)
-}
-
-// IsInteger reports whether the type is an integer scalar.
-func (t *CType) IsInteger() bool {
-	if t == nil {
-		return false
-	}
-	switch t.Kind {
-	case KindChar, KindShort, KindInt, KindLong, KindLongLong, KindUInt, KindSizeT, KindSSizeT:
-		return true
-	}
-	return false
 }
 
 // IsVoid reports whether the type is plain void.
@@ -268,8 +250,6 @@ type Prototype struct {
 	Variadic bool
 	// Header records the header file the prototype came from.
 	Header string
-	// Man is the one-line man-page synopsis, if any.
-	Man string
 }
 
 // String renders the prototype in C syntax.

@@ -2,6 +2,14 @@ package ctypes
 
 import "testing"
 
+// The pointer types the tests build prototypes from.
+var (
+	charPtr      = PtrTo(Char)
+	constCharPtr = PtrTo(&CType{Kind: KindChar, Const: true})
+	voidPtr      = PtrTo(Void)
+	constVoidPtr = PtrTo(&CType{Kind: KindVoid, Const: true})
+)
+
 func TestCTypeString(t *testing.T) {
 	tests := []struct {
 		t    *CType
@@ -10,10 +18,10 @@ func TestCTypeString(t *testing.T) {
 		{Void, "void"},
 		{Int, "int"},
 		{SizeT, "size_t"},
-		{CharPtr, "char*"},
-		{ConstCharPtr, "const char*"},
-		{VoidPtr, "void*"},
-		{PtrTo(CharPtr), "char**"},
+		{charPtr, "char*"},
+		{constCharPtr, "const char*"},
+		{voidPtr, "void*"},
+		{PtrTo(charPtr), "char**"},
 		{FuncPtr, "void (*)()"},
 		{&CType{Kind: KindInt, TypedefName: "wctrans_t"}, "wctrans_t"},
 		{nil, "void"},
@@ -26,20 +34,17 @@ func TestCTypeString(t *testing.T) {
 }
 
 func TestCTypePredicates(t *testing.T) {
-	if !CharPtr.IsPointer() || !FuncPtr.IsPointer() || Int.IsPointer() {
+	if !charPtr.IsPointer() || !FuncPtr.IsPointer() || Int.IsPointer() {
 		t.Error("IsPointer misclassifies")
-	}
-	if !Int.IsInteger() || !SizeT.IsInteger() || CharPtr.IsInteger() || Double.IsInteger() {
-		t.Error("IsInteger misclassifies")
 	}
 	if !Void.IsVoid() || Int.IsVoid() {
 		t.Error("IsVoid misclassifies")
 	}
-	if !ConstCharPtr.PointeeConst() || CharPtr.PointeeConst() || Int.PointeeConst() {
+	if !constCharPtr.PointeeConst() || charPtr.PointeeConst() || Int.PointeeConst() {
 		t.Error("PointeeConst misclassifies")
 	}
 	var nilt *CType
-	if nilt.IsPointer() || nilt.IsInteger() || !nilt.IsVoid() {
+	if nilt.IsPointer() || !nilt.IsVoid() {
 		t.Error("nil CType predicates wrong")
 	}
 }
@@ -47,10 +52,10 @@ func TestCTypePredicates(t *testing.T) {
 func TestPrototypeString(t *testing.T) {
 	strcpy := &Prototype{
 		Name: "strcpy",
-		Ret:  CharPtr,
+		Ret:  charPtr,
 		Params: []Param{
-			NewParam("dest", CharPtr, RoleOutBuf),
-			NewParam("src", ConstCharPtr, RoleInStr),
+			NewParam("dest", charPtr, RoleOutBuf),
+			NewParam("src", constCharPtr, RoleInStr),
 		},
 	}
 	want := "char* strcpy(char* dest, const char* src)"
@@ -64,7 +69,7 @@ func TestPrototypeString(t *testing.T) {
 	variadic := &Prototype{
 		Name:     "printf",
 		Ret:      Int,
-		Params:   []Param{NewParam("format", ConstCharPtr, RoleFmt)},
+		Params:   []Param{NewParam("format", constCharPtr, RoleFmt)},
 		Variadic: true,
 	}
 	if got := variadic.String(); got != "int printf(const char* format, ...)" {
@@ -94,17 +99,17 @@ func TestChainFor(t *testing.T) {
 		p    Param
 		want *Chain
 	}{
-		{"in_str role", NewParam("s", ConstCharPtr, RoleInStr), ChainInStr},
-		{"out_buf role", NewParam("d", CharPtr, RoleOutBuf), ChainOutBuf},
-		{"fmt role", NewParam("f", ConstCharPtr, RoleFmt), ChainFmt},
+		{"in_str role", NewParam("s", constCharPtr, RoleInStr), ChainInStr},
+		{"out_buf role", NewParam("d", charPtr, RoleOutBuf), ChainOutBuf},
+		{"fmt role", NewParam("f", constCharPtr, RoleFmt), ChainFmt},
 		{"size role", NewParam("n", SizeT, RoleSize), ChainSize},
 		{"fd role", NewParam("fd", Int, RoleFd), ChainFd},
 		{"func ptr role", NewParam("cmp", FuncPtr, RoleFuncPtr), ChainFuncPtr},
-		{"ptr out role", NewParam("endp", PtrTo(CharPtr), RolePtrOut), ChainPtrOut},
-		{"in_buf role", NewParam("b", ConstVoidPtr, RoleInBuf), ChainInBuf},
-		{"inout role", NewParam("d", CharPtr, RoleInOutBuf), ChainInOutBuf},
-		{"default const ptr", NewParam("p", ConstVoidPtr, RoleNone), ChainInBuf},
-		{"default mut ptr", NewParam("p", VoidPtr, RoleNone), ChainOutBuf},
+		{"ptr out role", NewParam("endp", PtrTo(charPtr), RolePtrOut), ChainPtrOut},
+		{"in_buf role", NewParam("b", constVoidPtr, RoleInBuf), ChainInBuf},
+		{"inout role", NewParam("d", charPtr, RoleInOutBuf), ChainInOutBuf},
+		{"default const ptr", NewParam("p", constVoidPtr, RoleNone), ChainInBuf},
+		{"default mut ptr", NewParam("p", voidPtr, RoleNone), ChainOutBuf},
 		{"default scalar", NewParam("c", Int, RoleNone), ChainScalar},
 		{"default funcptr type", NewParam("f", FuncPtr, RoleNone), ChainFuncPtr},
 	}

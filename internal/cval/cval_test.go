@@ -103,9 +103,13 @@ func TestEnvEnviron(t *testing.T) {
 	}
 	env.Setenv("B", "2")
 	env.Setenv("A", "1")
-	names := env.EnvironNames()
-	if len(names) != 2 || names[0] != "A" || names[1] != "B" {
-		t.Errorf("EnvironNames = %v", names)
+	for name, want := range map[string]string{"A": "1", "B": "2"} {
+		if v, ok := env.GetenvString(name); !ok || v != want {
+			t.Errorf("GetenvString(%q) = %q, %v; want %q", name, v, ok, want)
+		}
+	}
+	if v, ok := env.GetenvString("PATH"); ok {
+		t.Errorf("GetenvString(PATH) after Unsetenv = %q", v)
 	}
 }
 

@@ -2,7 +2,6 @@ package cval
 
 import (
 	"bytes"
-	"sort"
 
 	"healers/internal/cmem"
 )
@@ -138,16 +137,6 @@ func (e *Env) Getenv(name string) (cmem.Addr, *cmem.Fault) {
 func (e *Env) GetenvString(name string) (string, bool) {
 	v, ok := e.environ[name]
 	return v, ok
-}
-
-// EnvironNames returns the defined variable names, sorted, for diagnostics.
-func (e *Env) EnvironNames() []string {
-	names := make([]string, 0, len(e.environ))
-	for n := range e.environ {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // PutFile seeds the simulated filesystem with a file.

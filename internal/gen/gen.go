@@ -320,13 +320,6 @@ func (st *State) FuncNames() []string {
 	return append([]string(nil), st.funcNames...)
 }
 
-// Name returns the function name for an index.
-func (st *State) Name(i int) string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.funcNames[i]
-}
-
 // TotalCalls sums the call counters.
 func (st *State) TotalCalls() uint64 {
 	st.mu.Lock()
@@ -545,15 +538,6 @@ func MustGenerator(micros ...MicroGenerator) *Generator {
 	return g
 }
 
-// MicroNames returns the composed micro-generator names in order.
-func (g *Generator) MicroNames() []string {
-	names := make([]string, len(g.micros))
-	for i, m := range g.micros {
-		names[i] = m.Name()
-	}
-	return names
-}
-
 // Build compiles the wrapper for one prototype. next is a cell resolved at
 // link time (RTLD_NEXT); st accumulates statistics.
 func (g *Generator) Build(proto *ctypes.Prototype, next *cval.CFunc, st *State) cval.CFunc {
@@ -661,14 +645,6 @@ func (ctx *CallCtx) release() {
 // with the destination's actual capacity).
 type Subst func(next simelf.NextFunc, st *State) (cval.CFunc, error)
 
-// BuildLibrary generates a complete interposing wrapper library exporting
-// a wrapper for every given prototype. The library's OnLoad hook resolves
-// each symbol's RTLD_NEXT target; loading the library without a definition
-// of some wrapped symbol further down the search order is a link error.
-func (g *Generator) BuildLibrary(soname string, protos []*ctypes.Prototype, st *State) *simelf.Library {
-	return g.BuildLibrarySubst(soname, protos, st, nil)
-}
-
 // nextCell is an atomically rebindable RTLD_NEXT slot. A wrapper library
 // object is registered once in a simelf.System but loaded by every
 // process that maps it; a parallel campaign loads it from many probe
@@ -688,9 +664,13 @@ func (c *nextCell) load() cval.CFunc {
 
 func (c *nextCell) store(fn cval.CFunc) { c.fn.Store(&fn) }
 
-// BuildLibrarySubst is BuildLibrary with per-symbol substitutions: a
-// symbol named in subst is exported as the substitute implementation
-// instead of the micro-generator composition.
+// BuildLibrarySubst generates a complete interposing wrapper library
+// exporting a wrapper for every given prototype. The library's OnLoad
+// hook resolves each symbol's RTLD_NEXT target; loading the library
+// without a definition of some wrapped symbol further down the search
+// order is a link error. A symbol named in subst is exported as the
+// substitute implementation instead of the micro-generator composition;
+// subst may be nil.
 func (g *Generator) BuildLibrarySubst(soname string, protos []*ctypes.Prototype, st *State, subst map[string]Subst) *simelf.Library {
 	lib := simelf.NewLibrary(soname)
 	sorted := append([]*ctypes.Prototype(nil), protos...)

@@ -123,7 +123,7 @@ func wrapLibc(t *testing.T, g *Generator, st *State, fns ...string) (*cval.Env, 
 		}
 		protos = append(protos, p)
 	}
-	wrapper := g.BuildLibrary("libwrap.so", protos, st)
+	wrapper := g.BuildLibrarySubst("libwrap.so", protos, st, nil)
 
 	sys := simelf.NewSystem()
 	if err := sys.AddLibrary(libc); err != nil {
@@ -215,7 +215,7 @@ func TestArgCheckDenies(t *testing.T) {
 	st := NewState("libwrap.so")
 	env, call := func() (*cval.Env, func(string, ...cval.Value) (cval.Value, *cmem.Fault)) {
 		protos := []*ctypes.Prototype{libc.Proto("strlen")}
-		wrapper := g.BuildLibrary("libwrap.so", protos, st)
+		wrapper := g.BuildLibrarySubst("libwrap.so", protos, st, nil)
 		sys := simelf.NewSystem()
 		if err := sys.AddLibrary(libc); err != nil {
 			t.Fatal(err)
@@ -298,7 +298,7 @@ func TestBuildLibraryRequiresNextDefinition(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := NewState("libwrap.so")
-	wrapper := MustGenerator(MGPrototype(), MGCaller()).BuildLibrary("libwrap.so", []*ctypes.Prototype{p}, st)
+	wrapper := MustGenerator(MGPrototype(), MGCaller()).BuildLibrarySubst("libwrap.so", []*ctypes.Prototype{p}, st, nil)
 	sys := simelf.NewSystem()
 	if err := sys.AddLibrary(clib.MustRegistry().AsLibrary()); err != nil {
 		t.Fatal(err)
@@ -311,18 +311,5 @@ func TestBuildLibraryRequiresNextDefinition(t *testing.T) {
 	}
 	if _, err := dynlink.Load(sys, "app", []string{"libwrap.so"}); err == nil {
 		t.Error("load succeeded although the wrapped symbol has no next definition")
-	}
-}
-
-func TestMicroNames(t *testing.T) {
-	got := profilingGen().MicroNames()
-	want := []string{"prototype", "function exectime", "collect errors", "func errors", "call counter", "caller"}
-	if len(got) != len(want) {
-		t.Fatalf("MicroNames = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("micro %d = %q, want %q", i, got[i], want[i])
-		}
 	}
 }

@@ -88,24 +88,43 @@ func TestBoundCheckMicroPreventsOverflow(t *testing.T) {
 	}
 }
 
+// TestFmtCheckMicroDenies runs the format check alone and composed with
+// the profiling wrapper's call counter: any micro-generator list
+// composes (§2.3), and each member keeps its job in the composition.
 func TestFmtCheckMicroDenies(t *testing.T) {
-	g := MustGenerator(MGPrototype(), MGFmtCheck(), MGCaller())
-	st := NewState("w")
-	wrapped, env := buildOne(t, g, st, "printf")
+	for _, tc := range []struct {
+		name    string
+		g       *Generator
+		counted uint64 // calls the counter records per wrapped call
+	}{
+		{"fmt_check", MustGenerator(MGPrototype(), MGFmtCheck(), MGCaller()), 0},
+		{"call_counter+fmt_check", MustGenerator(MGPrototype(), MGCallCounter(), MGFmtCheck(), MGCaller()), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := NewState("w")
+			wrapped, env := buildOne(t, tc.g, st, "printf")
 
-	evil, _ := env.Img.StaticString("%n")
-	env.Errno = 0
-	v, f := wrapped(env, []cval.Value{cval.Ptr(evil)})
-	if f != nil || v.Int32() != -1 || env.Errno != cval.EDenied {
-		t.Errorf("%%n call = %v, %v, errno %d", v, f, env.Errno)
-	}
-	fine, _ := env.Img.StaticString("ok %d")
-	if v, f := wrapped(env, []cval.Value{cval.Ptr(fine), cval.Int(3)}); f != nil || v.Int32() != 4 {
-		t.Errorf("fine call = %v, %v", v, f)
-	}
-	proto, _ := cheader.ParsePrototype("int printf(const char *format, ...); // @format fmt")
-	if src := g.Source(proto); !strings.Contains(src, "healers_check_fmt_no_percent_n") {
-		t.Errorf("fmt-check source:\n%s", src)
+			evil, _ := env.Img.StaticString("%n")
+			env.Errno = 0
+			v, f := wrapped(env, []cval.Value{cval.Ptr(evil)})
+			if f != nil || v.Int32() != -1 || env.Errno != cval.EDenied {
+				t.Errorf("%%n call = %v, %v, errno %d", v, f, env.Errno)
+			}
+			if got := st.TotalCalls(); got != tc.counted {
+				t.Errorf("calls counted after the denied call = %d, want %d", got, tc.counted)
+			}
+			fine, _ := env.Img.StaticString("ok %d")
+			if v, f := wrapped(env, []cval.Value{cval.Ptr(fine), cval.Int(3)}); f != nil || v.Int32() != 4 {
+				t.Errorf("fine call = %v, %v", v, f)
+			}
+			if got := st.TotalCalls(); got != 2*tc.counted {
+				t.Errorf("calls counted = %d, want %d", got, 2*tc.counted)
+			}
+			proto, _ := cheader.ParsePrototype("int printf(const char *format, ...); // @format fmt")
+			if src := tc.g.Source(proto); !strings.Contains(src, "healers_check_fmt_no_percent_n") {
+				t.Errorf("fmt-check source:\n%s", src)
+			}
+		})
 	}
 }
 
@@ -149,16 +168,6 @@ func TestExitFlushMicroFiresOncePerProcess(t *testing.T) {
 	}
 }
 
-func TestLibrarySourceConcatenates(t *testing.T) {
-	g := profilingGen()
-	p1, _ := cheader.ParsePrototype("int abs(int j);")
-	p2, _ := cheader.ParsePrototype("size_t strlen(const char *s); // @s in_str")
-	src := g.LibrarySource([]*ctypes.Prototype{p1, p2})
-	if !strings.Contains(src, "int abs(int a1)") || !strings.Contains(src, "size_t strlen(const char* a1)") {
-		t.Errorf("library source:\n%s", src)
-	}
-}
-
 func TestStateResetAndName(t *testing.T) {
 	st := NewState("w")
 	i := st.Index("strlen")
@@ -173,8 +182,8 @@ func TestStateResetAndName(t *testing.T) {
 		st.GlobalErrno[1] != 0 || st.Overflows != 0 || st.DenyLog != nil {
 		t.Errorf("Reset left state: %+v", st)
 	}
-	if st.Name(i) != "strlen" {
-		t.Errorf("Name = %q", st.Name(i))
+	if got := st.FuncNames()[i]; got != "strlen" {
+		t.Errorf("name at index %d = %q after Reset", i, got)
 	}
 	if st.Index("strlen") != i {
 		t.Error("Reset lost the index table")

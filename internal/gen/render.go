@@ -39,14 +39,3 @@ func (g *Generator) Source(proto *ctypes.Prototype) string {
 	}
 	return b.String()
 }
-
-// LibrarySource renders the generated source for every prototype,
-// separated by blank lines — what the toolkit would compile into the
-// wrapper shared object.
-func (g *Generator) LibrarySource(protos []*ctypes.Prototype) string {
-	var parts []string
-	for _, p := range protos {
-		parts = append(parts, g.Source(p))
-	}
-	return strings.Join(parts, "\n")
-}

@@ -121,7 +121,8 @@ const ChaosEnvVar = "HEALERS_CHAOS"
 // Env returns the process's call environment.
 func (p *Process) Env() *cval.Env { return p.env }
 
-// Linkmap exposes the process's link map (for scan tooling).
+// Linkmap exposes the process's link map, for tests that check which
+// objects a process loaded.
 func (p *Process) Linkmap() *dynlink.Linkmap { return p.lm }
 
 // Call resolves symbol through the link map's search order and invokes

@@ -23,8 +23,7 @@ import (
 // restart and no Decide call ever observes a half-applied table. Decide
 // is therefore lock-free; only the breaker's failure records sit behind
 // a mutex. Breaker trip state survives a reload on purpose — a new rule
-// set does not forgive a function the breaker already condemned (use
-// ResetBreakers for amnesty).
+// set does not forgive a function the breaker already condemned.
 type PolicyEngine struct {
 	// live is the current immutable rule set; swapped wholesale on
 	// reload, never mutated in place.
@@ -191,14 +190,6 @@ func (e *PolicyEngine) Tripped(fn string) bool {
 	defer e.mu.Unlock()
 	bs := e.state[fn]
 	return bs != nil && bs.tripped
-}
-
-// ResetBreakers clears every function's failure record and trip latch —
-// between profiled runs of one long-lived wrapper library.
-func (e *PolicyEngine) ResetBreakers() {
-	e.mu.Lock()
-	e.state = make(map[string]*breakerState)
-	e.mu.Unlock()
 }
 
 // Revision reports the policy-document revision the engine currently

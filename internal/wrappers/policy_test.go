@@ -60,10 +60,6 @@ func TestBreakerTripsWithinWindow(t *testing.T) {
 	if e.Tripped("strlen") {
 		t.Error("unrelated function tripped")
 	}
-	e.ResetBreakers()
-	if e.Tripped("strcpy") {
-		t.Error("breaker survived ResetBreakers")
-	}
 }
 
 func TestBreakerWindowExpiresOldFailures(t *testing.T) {

@@ -104,42 +104,3 @@ func TestPropertyHardenedLibcNeverCrashes(t *testing.T) {
 		t.Fatalf("only %d calls executed", calls)
 	}
 }
-
-func TestCustomWrapperComposition(t *testing.T) {
-	libcLib := clib.MustRegistry().AsLibrary()
-	wrapper, st, err := Custom(libcLib, "libcustom.so",
-		[]string{"call_counter", "fmt_check"}, nil, []string{"printf", "strlen"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := simelf.NewSystem()
-	if err := sys.AddLibrary(libcLib); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.AddLibrary(wrapper); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.AddExecutable(&simelf.Executable{Name: "app", Needed: []string{clib.LibcSoname}}); err != nil {
-		t.Fatal(err)
-	}
-	lm, err := dynlink.Load(sys, "app", []string{"libcustom.so"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := cval.NewEnv()
-	evil, _ := env.Img.StaticString("%n")
-	fn, _ := lm.Resolve("printf")
-	if v, f := fn(env, []cval.Value{cval.Ptr(evil)}); f != nil || v.Int32() != -1 {
-		t.Errorf("custom fmt_check: %v, %v", v, f)
-	}
-	if st.TotalCalls() != 1 {
-		t.Errorf("custom call_counter = %d", st.TotalCalls())
-	}
-	// Unknown feature and missing API are rejected.
-	if _, _, err := Custom(libcLib, "x.so", []string{"nope"}, nil, nil); err == nil {
-		t.Error("unknown feature accepted")
-	}
-	if _, _, err := Custom(libcLib, "x.so", []string{"arg_check"}, nil, nil); err == nil {
-		t.Error("arg_check without API accepted")
-	}
-}

@@ -1,9 +1,6 @@
 package wrappers
 
 import (
-	"bytes"
-	"fmt"
-	"os"
 	"time"
 
 	"healers/internal/xmlrep"
@@ -12,39 +9,10 @@ import (
 // PolicySource yields the latest candidate policy document for a
 // subscribed engine, or (nil, nil) when nothing newer is available —
 // the poll-quietly contract that keeps an idle subscription free of
-// spurious reload attempts. Implementations: FilePolicySource (a
-// file-watched document) and a closure over collect.FetchPolicy (a
-// control-plane fetch over the wire).
+// spurious reload attempts. healers-profile -policy-from implements it
+// as a closure over collect.FetchPolicy (a control-plane fetch over the
+// wire).
 type PolicySource func() (*xmlrep.PolicyDoc, error)
-
-// FilePolicySource watches a policy file: each call re-reads path and
-// returns the parsed document only when the file's content has changed
-// since the previous call (first call always reports). A missing file
-// is not an error — the document simply is not there yet.
-func FilePolicySource(path string) PolicySource {
-	var last []byte
-	return func() (*xmlrep.PolicyDoc, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			if os.IsNotExist(err) {
-				return nil, nil
-			}
-			return nil, fmt.Errorf("wrappers: policy watch: %w", err)
-		}
-		if bytes.Equal(data, last) {
-			return nil, nil
-		}
-		doc, err := xmlrep.Unmarshal[xmlrep.PolicyDoc](data)
-		if err != nil {
-			// Remember the bad content so one corrupted write is
-			// reported once, not on every poll tick.
-			last = data
-			return nil, fmt.Errorf("wrappers: policy watch: %w", err)
-		}
-		last = data
-		return doc, nil
-	}
-}
 
 // ReloadEvent reports one subscription poll that did something: a
 // successful hot swap (Applied true, Revision the new revision) or a

@@ -1,9 +1,8 @@
 package wrappers
 
 import (
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -277,101 +276,68 @@ func TestHotReloadRace(t *testing.T) {
 	}
 }
 
-func TestFilePolicySource(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "policy.xml")
-	src := FilePolicySource(path)
-
-	// Missing file: not there yet, not an error.
-	if doc, err := src(); doc != nil || err != nil {
-		t.Fatalf("missing file: doc=%v err=%v", doc, err)
+// TestSubscribe drives a subscription through a closure source, the
+// shape healers-profile -policy-from polls the control plane with. The
+// source hands out one scripted reply per poll, so each event can be
+// tied to the reply that caused it.
+func TestSubscribe(t *testing.T) {
+	type reply struct {
+		doc *xmlrep.PolicyDoc
+		err error
 	}
-
-	doc1 := stampedDoc(1, "retry")
-	data, err := xmlrep.Marshal(doc1)
-	if err != nil {
-		t.Fatal(err)
+	script := make(chan reply)
+	src := func() (*xmlrep.PolicyDoc, error) {
+		r := <-script // zero reply (nothing new) once script is closed
+		return r.doc, r.err
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := src()
-	if err != nil || got == nil || got.Revision != 1 {
-		t.Fatalf("first read: doc=%v err=%v", got, err)
-	}
-	// Unchanged content: silent.
-	if got, err := src(); got != nil || err != nil {
-		t.Fatalf("unchanged file reread: doc=%v err=%v", got, err)
-	}
-	// Corrupted write: reported once, then silent until it changes.
-	if err := os.WriteFile(path, []byte("<healers-policy"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := src(); err == nil {
-		t.Fatal("corrupted file not reported")
-	}
-	if _, err := src(); err != nil {
-		t.Fatalf("corrupted file reported twice: %v", err)
-	}
-}
-
-// TestSubscribeFileWatch wires a file source to the engine and checks
-// the full watch path: initial load, a newer revision, and a stale file
-// rewrite that must be skipped silently.
-func TestSubscribeFileWatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "policy.xml")
-	write := func(doc *xmlrep.PolicyDoc) {
-		data, err := xmlrep.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write(stampedDoc(1, "retry"))
-
 	e := DefaultPolicy()
-	events := make(chan ReloadEvent, 16)
-	stop := e.Subscribe(FilePolicySource(path), time.Millisecond, func(ev ReloadEvent) {
-		events <- ev
-	})
-	defer stop()
-
-	waitRevision := func(rev int) {
+	events := make(chan ReloadEvent, 8)
+	stop := e.Subscribe(src, time.Millisecond, func(ev ReloadEvent) { events <- ev })
+	next := func() ReloadEvent {
 		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for e.Revision() != rev {
-			if time.Now().After(deadline) {
-				t.Fatalf("engine never reached revision %d (at %d)", rev, e.Revision())
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	waitRevision(1)
-	write(stampedDoc(2, "deny"))
-	waitRevision(2)
-
-	// A stale rewrite must not roll the engine back.
-	write(stampedDoc(1, "retry"))
-	time.Sleep(20 * time.Millisecond)
-	if e.Revision() != 2 {
-		t.Errorf("stale file rewrite rolled the engine back to %d", e.Revision())
-	}
-	stop()
-	stop() // idempotent
-
-	applied := 0
-	for {
 		select {
 		case ev := <-events:
-			if ev.Applied {
-				applied++
-			}
-		default:
-			if applied != 2 {
-				t.Errorf("applied events = %d, want 2", applied)
-			}
-			return
+			return ev
+		case <-time.After(5 * time.Second):
+			t.Fatal("no reload event")
+			return ReloadEvent{}
 		}
+	}
+
+	script <- reply{doc: stampedDoc(1, "retry")}
+	if ev := next(); !ev.Applied || ev.Revision != 1 || ev.Err != nil {
+		t.Fatalf("newer revision: event %+v, want applied revision 1", ev)
+	}
+	// A revision that is not newer is skipped without an event: the
+	// next event belongs to the reply after it.
+	script <- reply{doc: stampedDoc(1, "deny")}
+	script <- reply{err: errors.New("control plane unreachable")}
+	if ev := next(); ev.Applied || ev.Revision != 1 || ev.Err == nil || !strings.Contains(ev.Err.Error(), "unreachable") {
+		t.Fatalf("source error: event %+v, want the source's error at revision 1", ev)
+	}
+	if got := e.Decide("x", gen.ClassCrash).Action; got != gen.ActionRetry {
+		t.Errorf("skipped revision changed the rules: decision = %v, want retry", got)
+	}
+	unstamped := stampedDoc(2, "deny")
+	unstamped.Checksum = ""
+	script <- reply{doc: unstamped}
+	if ev := next(); ev.Applied || ev.Revision != 1 || ev.Err == nil || !strings.Contains(ev.Err.Error(), "unstamped") {
+		t.Fatalf("unstamped document: event %+v, want an ApplyDoc rejection at revision 1", ev)
+	}
+	script <- reply{doc: stampedDoc(2, "deny")}
+	if ev := next(); !ev.Applied || ev.Revision != 2 {
+		t.Fatalf("newer revision: event %+v, want applied revision 2", ev)
+	}
+	if got := e.Decide("x", gen.ClassCrash).Action; got != gen.ActionDeny {
+		t.Errorf("decision after revision 2 = %v, want deny", got)
+	}
+
+	close(script)
+	stop()
+	stop() // a second stop is a no-op
+	select {
+	case ev := <-events:
+		t.Errorf("event after the last reply: %+v", ev)
+	default:
 	}
 }

@@ -258,7 +258,7 @@ func TestProfilingWrapperCollects(t *testing.T) {
 	if st.TotalCalls() != 0 {
 		t.Error("Reset did not clear counters")
 	}
-	if got := st.Name(st.Index("strlen")); got != "strlen" {
-		t.Errorf("Name round trip = %q", got)
+	if got := st.FuncNames()[st.Index("strlen")]; got != "strlen" {
+		t.Errorf("name round trip = %q", got)
 	}
 }

@@ -385,8 +385,10 @@ func declParam(s []byte, param string) []byte {
 // encoding/xml reuses a non-nil pointer field. The two long lists,
 // functions and trace calls, are sized once by counting their tags in
 // the input, an upper bound that halves the bytes a pool-shaped profile
-// allocates against growing them by append. The counters mode allocates
-// nothing for the trace.
+// allocates against growing them by append. Functions are counted only
+// before the first <trace, which the encoder writes after them, so the
+// count skips the document's largest element. The counters mode
+// allocates nothing for the trace.
 func (d *profileDecoder) enter(e profElem) {
 	l := d.log
 	if d.counters && (e == inTrace || e == inCall) {
@@ -395,7 +397,11 @@ func (d *profileDecoder) enter(e profElem) {
 	switch e {
 	case inFunc:
 		if l.Funcs == nil {
-			l.Funcs = make([]FuncProfile, 0, bytes.Count(d.data, []byte("<function")))
+			head := d.data
+			if i := bytes.Index(head, []byte("<trace")); i >= 0 {
+				head = head[:i]
+			}
+			l.Funcs = make([]FuncProfile, 0, bytes.Count(head, []byte("<function")))
 		}
 		l.Funcs = append(l.Funcs, FuncProfile{})
 	case inClass:

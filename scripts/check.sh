@@ -13,10 +13,12 @@ go vet ./...
 go test -race ./...
 
 # Documentation hygiene: flags and README must agree in both
-# directions, the embedding API's exported surface must be godoc'd, and
-# the whole repo must be gofmt-clean.
+# directions, the embedding API's exported surface must be godoc'd, no
+# exported identifier under internal/ may be called from tests alone,
+# and the whole repo must be gofmt-clean.
 sh scripts/check-docs.sh
 sh scripts/check-godoc.sh
+go run ./scripts/testonly
 fmt=$(gofmt -l .)
 if [ -n "$fmt" ]; then
     echo "gofmt needed:" >&2
