@@ -63,26 +63,22 @@ ci-bench-smoke:
 	(cd perfbench && GOPROXY=off go vet .)
 	go test -run '^$$' -bench . -benchtime=1x ./...
 
-# Documentation hygiene as its own job: flag/README agreement, godoc
-# coverage, the test-only surface scan, comment placement (vet), and
-# repo-wide gofmt.
+# Documentation hygiene as its own job (scripts/check.sh runs it too).
 ci-docs: docs
-	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
-		echo "gofmt needed:"; echo "$$fmt"; exit 1; fi
 
 # Documentation hygiene: flags and README.md must agree in both
 # directions, the embedding API's exported surface must be godoc'd
 # (audit script plus go vet, which also proofreads comment placement),
 # no exported identifier under internal/ may be called from tests alone
-# (scripts/testonly, with its keep list), and the examples must be
+# (scripts/testonly, with its keep list), and the whole repo must be
 # gofmt-clean.
 docs:
 	sh scripts/check-docs.sh
 	sh scripts/check-godoc.sh
 	go run ./scripts/testonly
 	go vet ./internal/wrappers ./internal/collect
-	@fmt=$$(gofmt -l examples); if [ -n "$$fmt" ]; then \
-		echo "gofmt needed in examples:"; echo "$$fmt"; exit 1; fi
+	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
+		echo "gofmt needed:"; echo "$$fmt"; exit 1; fi
 
 build:
 	go build ./...

@@ -1,6 +1,8 @@
 package clib
 
 import (
+	"math"
+
 	"healers/internal/cmem"
 	"healers/internal/cval"
 )
@@ -58,67 +60,21 @@ func lowerByte(b byte) byte {
 }
 
 func cStrcasecmp(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
-	a, b := arg(args, 0).Addr(), arg(args, 1).Addr()
-	sp := env.Img.Space
-	for i := cmem.Addr(0); ; i++ {
-		ca, f := sp.ReadByteAt(a + i)
-		if f != nil {
-			return 0, f
-		}
-		cb, f := sp.ReadByteAt(b + i)
-		if f != nil {
-			return 0, f
-		}
-		la, lb := lowerByte(ca), lowerByte(cb)
-		if la != lb {
-			return cval.Int(int64(int32(la) - int32(lb))), nil
-		}
-		if ca == 0 {
-			return cval.Int(0), nil
-		}
-	}
+	return compare(env, args, math.MaxUint32, cmpStr|cmpFold)
 }
 
 func cStrncasecmp(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
-	a, b := arg(args, 0).Addr(), arg(args, 1).Addr()
-	n := arg(args, 2).Uint32()
-	sp := env.Img.Space
-	for i := uint32(0); i < n; i++ {
-		ca, f := sp.ReadByteAt(a + cmem.Addr(i))
-		if f != nil {
-			return 0, f
-		}
-		cb, f := sp.ReadByteAt(b + cmem.Addr(i))
-		if f != nil {
-			return 0, f
-		}
-		la, lb := lowerByte(ca), lowerByte(cb)
-		if la != lb {
-			return cval.Int(int64(int32(la) - int32(lb))), nil
-		}
-		if ca == 0 {
-			break
-		}
-	}
-	return cval.Int(0), nil
+	return compare(env, args, arg(args, 2).Uint32(), cmpStr|cmpFold)
 }
 
 // cStpcpy is strcpy returning a pointer to the terminator.
 func cStpcpy(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
-	dst, src := arg(args, 0).Addr(), arg(args, 1).Addr()
-	sp := env.Img.Space
-	for i := cmem.Addr(0); ; i++ {
-		b, f := sp.ReadByteAt(src + i)
-		if f != nil {
-			return 0, f
-		}
-		if f := sp.WriteByteAt(dst+i, b); f != nil {
-			return 0, f
-		}
-		if b == 0 {
-			return cval.Ptr(dst + i), nil
-		}
+	dst := arg(args, 0).Addr()
+	k, _, f := env.Img.Space.Copy(dst, arg(args, 1).Addr(), math.MaxUint32, 0)
+	if f != nil {
+		return 0, f
 	}
+	return cval.Ptr(dst + cmem.Addr(k) - 1), nil
 }
 
 func cStrnlen(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
@@ -137,24 +93,18 @@ func cStrnlen(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
 	return cval.Uint(uint64(maxlen)), nil
 }
 
+// cMemccpy copies up to n bytes, ending after the first byte c, and
+// returns a pointer past that byte, or NULL when it held none.
 func cMemccpy(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
-	dst, src := arg(args, 0).Addr(), arg(args, 1).Addr()
-	c := arg(args, 2).Byte()
-	n := arg(args, 3).Uint32()
-	sp := env.Img.Space
-	for i := uint32(0); i < n; i++ {
-		b, f := sp.ReadByteAt(src + cmem.Addr(i))
-		if f != nil {
-			return 0, f
-		}
-		if f := sp.WriteByteAt(dst+cmem.Addr(i), b); f != nil {
-			return 0, f
-		}
-		if b == c {
-			return cval.Ptr(dst + cmem.Addr(i) + 1), nil
-		}
+	dst := arg(args, 0).Addr()
+	k, found, f := env.Img.Space.Copy(dst, arg(args, 1).Addr(), arg(args, 3).Uint32(), int(arg(args, 2).Byte()))
+	if f != nil {
+		return 0, f
 	}
-	return cval.Ptr(0), nil
+	if !found {
+		return cval.Ptr(0), nil
+	}
+	return cval.Ptr(dst + cmem.Addr(k)), nil
 }
 
 func cToascii(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {

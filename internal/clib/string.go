@@ -1,6 +1,8 @@
 package clib
 
 import (
+	"math"
+
 	"healers/internal/cmem"
 	"healers/internal/cval"
 )
@@ -44,124 +46,76 @@ func cStrlen(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
 	return cval.Uint(uint64(n)), nil
 }
 
+// cStrcpy copies up to and including the source's NUL. Its bound,
+// math.MaxUint32 bytes, never ends a copy: that many bytes from any
+// address cover the unmapped NULL page.
 func cStrcpy(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
-	dst, src := arg(args, 0).Addr(), arg(args, 1).Addr()
-	sp := env.Img.Space
-	for i := cmem.Addr(0); ; i++ {
-		b, f := sp.ReadByteAt(src + i)
-		if f != nil {
-			return 0, f
-		}
-		if f := sp.WriteByteAt(dst+i, b); f != nil {
-			return 0, f
-		}
-		if b == 0 {
-			return cval.Ptr(dst), nil
-		}
+	dst := arg(args, 0).Addr()
+	if _, _, f := env.Img.Space.Copy(dst, arg(args, 1).Addr(), math.MaxUint32, 0); f != nil {
+		return 0, f
 	}
+	return cval.Ptr(dst), nil
 }
 
+// cStrncpy copies up to n bytes and pads with NULs to exactly n.
 func cStrncpy(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
-	dst, src := arg(args, 0).Addr(), arg(args, 1).Addr()
-	n := arg(args, 2).Uint32()
+	dst, n := arg(args, 0).Addr(), arg(args, 2).Uint32()
 	sp := env.Img.Space
-	var i uint32
-	for ; i < n; i++ {
-		b, f := sp.ReadByteAt(src + cmem.Addr(i))
-		if f != nil {
-			return 0, f
-		}
-		if f := sp.WriteByteAt(dst+cmem.Addr(i), b); f != nil {
-			return 0, f
-		}
-		if b == 0 {
-			i++
-			break
-		}
+	k, _, f := sp.Copy(dst, arg(args, 1).Addr(), n, 0)
+	if f == nil {
+		f = sp.Fill(dst+cmem.Addr(k), n-k, 0)
 	}
-	// strncpy pads with NULs to exactly n bytes.
-	for ; i < n; i++ {
-		if f := sp.WriteByteAt(dst+cmem.Addr(i), 0); f != nil {
-			return 0, f
-		}
+	if f != nil {
+		return 0, f
 	}
 	return cval.Ptr(dst), nil
 }
 
 func cStrcat(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
-	dst, src := arg(args, 0).Addr(), arg(args, 1).Addr()
-	sp := env.Img.Space
-	dlen, f := sp.CStrLen(dst)
-	if f != nil {
-		return 0, f
-	}
-	for i := cmem.Addr(0); ; i++ {
-		b, f := sp.ReadByteAt(src + i)
-		if f != nil {
-			return 0, f
-		}
-		if f := sp.WriteByteAt(dst+cmem.Addr(dlen)+i, b); f != nil {
-			return 0, f
-		}
-		if b == 0 {
-			return cval.Ptr(dst), nil
-		}
-	}
+	return strcat(env, args, math.MaxUint32)
 }
 
 func cStrncat(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
-	dst, src := arg(args, 0).Addr(), arg(args, 1).Addr()
-	n := arg(args, 2).Uint32()
+	return strcat(env, args, arg(args, 2).Uint32())
+}
+
+// strcat appends at most n bytes of the source string to the
+// destination string and terminates it. When the copy ends on the
+// source's NUL it has stored the terminator; otherwise it is stored
+// after the n bytes.
+func strcat(env *cval.Env, args []cval.Value, n uint32) (cval.Value, *cmem.Fault) {
+	dst := arg(args, 0).Addr()
 	sp := env.Img.Space
 	dlen, f := sp.CStrLen(dst)
 	if f != nil {
 		return 0, f
 	}
-	var i uint32
-	for ; i < n; i++ {
-		b, f := sp.ReadByteAt(src + cmem.Addr(i))
-		if f != nil {
-			return 0, f
-		}
-		if b == 0 {
-			break
-		}
-		if f := sp.WriteByteAt(dst+cmem.Addr(dlen+i), b); f != nil {
-			return 0, f
-		}
+	end := dst + cmem.Addr(dlen)
+	k, nul, f := sp.Copy(end, arg(args, 1).Addr(), n, 0)
+	if f == nil && !nul {
+		f = sp.WriteByteAt(end+cmem.Addr(k), 0)
 	}
-	if f := sp.WriteByteAt(dst+cmem.Addr(dlen+i), 0); f != nil {
+	if f != nil {
 		return 0, f
 	}
 	return cval.Ptr(dst), nil
 }
 
-func cStrcmp(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
-	a, b := arg(args, 0).Addr(), arg(args, 1).Addr()
-	sp := env.Img.Space
-	for i := cmem.Addr(0); ; i++ {
-		ca, f := sp.ReadByteAt(a + i)
-		if f != nil {
-			return 0, f
-		}
-		cb, f := sp.ReadByteAt(b + i)
-		if f != nil {
-			return 0, f
-		}
-		if ca != cb {
-			return cval.Int(int64(int32(ca) - int32(cb))), nil
-		}
-		if ca == 0 {
-			return cval.Int(0), nil
-		}
-	}
-}
+// cmpMode selects what compare does besides comparing bytes.
+type cmpMode uint8
 
-func cStrncmp(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
+const (
+	cmpFold cmpMode = 1 << iota // compare the bytes lowercased
+	cmpStr                      // a NUL in both strings ends the comparison
+)
+
+// compare is the one comparison loop of strcmp, strncmp, memcmp,
+// strcasecmp and strncasecmp: for i below n it loads a+i, then b+i, and
+// answers the difference of the first pair that differs.
+func compare(env *cval.Env, args []cval.Value, n uint32, mode cmpMode) (cval.Value, *cmem.Fault) {
 	a, b := arg(args, 0).Addr(), arg(args, 1).Addr()
-	n := arg(args, 2).Uint32()
 	sp := env.Img.Space
-	for i := uint32(0); i < n; i++ {
+	for i := range n {
 		ca, f := sp.ReadByteAt(a + cmem.Addr(i))
 		if f != nil {
 			return 0, f
@@ -170,14 +124,25 @@ func cStrncmp(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
 		if f != nil {
 			return 0, f
 		}
+		if mode&cmpFold != 0 {
+			ca, cb = lowerByte(ca), lowerByte(cb)
+		}
 		if ca != cb {
 			return cval.Int(int64(int32(ca) - int32(cb))), nil
 		}
-		if ca == 0 {
+		if ca == 0 && mode&cmpStr != 0 {
 			break
 		}
 	}
 	return cval.Int(0), nil
+}
+
+func cStrcmp(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
+	return compare(env, args, math.MaxUint32, cmpStr)
+}
+
+func cStrncmp(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
+	return compare(env, args, arg(args, 2).Uint32(), cmpStr)
 }
 
 func cStrchr(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
@@ -459,39 +424,28 @@ func cStrerror(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
 }
 
 func cMemcpy(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
-	dst, src := arg(args, 0).Addr(), arg(args, 1).Addr()
-	n := arg(args, 2).Uint32()
-	sp := env.Img.Space
-	for i := uint32(0); i < n; i++ {
-		b, f := sp.ReadByteAt(src + cmem.Addr(i))
-		if f != nil {
-			return 0, f
-		}
-		if f := sp.WriteByteAt(dst+cmem.Addr(i), b); f != nil {
-			return 0, f
-		}
+	dst := arg(args, 0).Addr()
+	if _, _, f := env.Img.Space.Copy(dst, arg(args, 1).Addr(), arg(args, 2).Uint32(), cmem.NoStop); f != nil {
+		return 0, f
 	}
 	return cval.Ptr(dst), nil
 }
 
+// cMemmove copies ascending when the destination lies below the source
+// and descending otherwise, so an overlapping source byte is loaded
+// before it is overwritten.
 func cMemmove(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
 	dst, src := arg(args, 0).Addr(), arg(args, 1).Addr()
 	n := arg(args, 2).Uint32()
 	sp := env.Img.Space
-	if dst == src || n == 0 {
-		return cval.Ptr(dst), nil
-	}
-	if dst < src {
-		for i := uint32(0); i < n; i++ {
-			b, f := sp.ReadByteAt(src + cmem.Addr(i))
-			if f != nil {
-				return 0, f
-			}
-			if f := sp.WriteByteAt(dst+cmem.Addr(i), b); f != nil {
-				return 0, f
-			}
+	switch {
+	case dst == src || n == 0:
+		// Nothing moves.
+	case dst < src:
+		if _, _, f := sp.Copy(dst, src, n, cmem.NoStop); f != nil {
+			return 0, f
 		}
-	} else {
+	default:
 		for i := n; i > 0; i-- {
 			b, f := sp.ReadByteAt(src + cmem.Addr(i-1))
 			if f != nil {
@@ -515,23 +469,7 @@ func cMemset(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
 }
 
 func cMemcmp(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {
-	a, b := arg(args, 0).Addr(), arg(args, 1).Addr()
-	n := arg(args, 2).Uint32()
-	sp := env.Img.Space
-	for i := uint32(0); i < n; i++ {
-		ca, f := sp.ReadByteAt(a + cmem.Addr(i))
-		if f != nil {
-			return 0, f
-		}
-		cb, f := sp.ReadByteAt(b + cmem.Addr(i))
-		if f != nil {
-			return 0, f
-		}
-		if ca != cb {
-			return cval.Int(int64(int32(ca) - int32(cb))), nil
-		}
-	}
-	return cval.Int(0), nil
+	return compare(env, args, arg(args, 2).Uint32(), 0)
 }
 
 func cMemchr(env *cval.Env, args []cval.Value) (cval.Value, *cmem.Fault) {

@@ -520,6 +520,31 @@ func (s *Space) Fill(a Addr, n uint32, v byte) *Fault {
 	return nil
 }
 
+// NoStop is the stop argument of a Copy that ends only after n bytes.
+const NoStop = -1
+
+// Copy is the access contract's two-address loop, the one memcpy, strcpy
+// and their kin run: for each i from 0 it loads src+i, then stores that
+// byte at dst+i. It ends after n bytes, or after storing the byte stop
+// when stop is not NoStop. It returns how many bytes it stored and
+// whether it ended on the stop byte. On a fault, the bytes before the
+// faulting access have been stored.
+func (s *Space) Copy(dst, src Addr, n uint32, stop int) (uint32, bool, *Fault) {
+	for i := range n {
+		b, f := s.ReadByteAt(src + Addr(i))
+		if f != nil {
+			return i, false, f
+		}
+		if f := s.WriteByteAt(dst+Addr(i), b); f != nil {
+			return i, false, f
+		}
+		if int(b) == stop {
+			return i + 1, true, nil
+		}
+	}
+	return n, false, nil
+}
+
 // ReadU32 loads a little-endian 32-bit value. Misaligned wide accesses
 // are SIGBUS, matching strict-alignment hardware; the injector exercises
 // this.

@@ -138,6 +138,22 @@ func (r *refSpace) Fill(a Addr, n uint32, v byte) *Fault {
 	return nil
 }
 
+func (r *refSpace) Copy(dst, src Addr, n uint32, stop int) (uint32, bool, *Fault) {
+	for i := uint32(0); i < n; i++ {
+		b, f := r.readByte(src + Addr(i))
+		if f != nil {
+			return i, false, f
+		}
+		if f := r.writeByte(dst+Addr(i), b); f != nil {
+			return i, false, f
+		}
+		if int(b) == stop {
+			return i + 1, true, nil
+		}
+	}
+	return n, false, nil
+}
+
 func (r *refSpace) CStrLen(a Addr) (uint32, *Fault) {
 	for n := uint32(0); ; n++ {
 		c, f := r.readByte(a + Addr(n))
@@ -371,7 +387,7 @@ func runSpanProgram(t *testing.T, data []byte) {
 	var frozen map[int]leaf
 	p := &spanProgram{data: data}
 	for step := 0; len(p.data) > 0 && step < 64; step++ {
-		op := p.u8() % 20
+		op := p.u8() % 21
 		var what string
 		var got, want any
 		var gf, wf *Fault
@@ -509,6 +525,17 @@ func runSpanProgram(t *testing.T, data []byte) {
 				gf = f
 				got, want = [2]any{gs, gfound}, [2]any{ws, wfound}
 			}
+		case 20:
+			// An odd form byte is followed by the stop byte.
+			dst, src, n, stop := p.addr(), p.addr(), p.length(), NoStop
+			if p.u8()&1 != 0 {
+				stop = int(p.u8())
+			}
+			what = fmt.Sprintf("Copy(%s, %s, %d, %d)", dst, src, n, stop)
+			gn, gstop, f := sp.Copy(dst, src, n, stop)
+			wn, wstop, w := ref.Copy(dst, src, n, stop)
+			gf, wf = f, w
+			got, want = [2]any{gn, gstop}, [2]any{wn, wstop}
 		}
 		if (gf == nil) != (wf == nil) || gf != nil && *gf != *wf {
 			t.Fatalf("step %d %s: fault %v, reference %v", step, what, gf, wf)
@@ -626,6 +653,17 @@ func opMappedString(base byte, off int16, max uint16, lenOnly, wide bool) []byte
 		form |= 2
 	}
 	return progOp(19, base, off, append(progU16(max), form)...)
+}
+
+// opCopy encodes a Copy of n bytes from src to dst; a negative stop is
+// NoStop.
+func opCopy(dstBase byte, dstOff int16, srcBase byte, srcOff int16, n uint16, stop int) []byte {
+	op := append(progOp(20, dstBase, dstOff), progAddr(srcBase, srcOff)...)
+	op = append(op, progU16(n)...)
+	if stop < 0 {
+		return append(op, 0)
+	}
+	return append(op, 1, byte(stop))
 }
 
 func opWrite64(base byte, off int16) []byte { return progOp(14, base, off, 2, 1, 2, 3, 4, 5, 6) }
@@ -788,6 +826,44 @@ var spanCases = []struct {
 		opMappedString(baseLow, 0x1fe0, 0x800, true, false),
 		opFork(0),
 		opMappedString(baseLow, 0x3000, 0, false, true),
+	)},
+	{"copy", program(
+		opMap(baseLow, 0, 3*PageSize, ProtRW),
+		opProtect(baseLow, 0x2000, PageSize, ProtRead),
+		opWrite(baseLow, 0xf00, 0x200, 5),
+		// Stop bytes: a NUL, a nonzero byte, and one the range lacks.
+		opCopy(baseLow, 0x100, baseLow, 0xf00, 0x200, 0),
+		opCopy(baseLow, 0x100, baseLow, 0xf00, 0x200, 0x1a),
+		opCopy(baseLow, 0x100, baseLow, 0xf00, 0x20, 0xff),
+		// Overlap both ways, across a page boundary: an ascending copy
+		// to a higher address re-reads the bytes it stored.
+		opCopy(baseLow, 0xf40, baseLow, 0xf00, 0x180, NoStop),
+		opCopy(baseLow, 0xf00, baseLow, 0xf40, 0x180, NoStop),
+		// A store that reaches the read-only page, and a load that
+		// reaches the unmapped one.
+		opCopy(baseLow, 0x1f80, baseLow, 0xf00, 0x100, NoStop),
+		opCopy(baseLow, 0x100, baseLow, 0x2f80, 0x100, NoStop),
+		// Fuel that runs out on a load, then on a store.
+		opFuel(0x40),
+		opCopy(baseLow, 0x400, baseLow, 0xf00, 0x40, NoStop),
+		opFuel(0x41),
+		opCopy(baseLow, 0x400, baseLow, 0xf00, 0x40, NoStop),
+		opFuel(-1),
+		// Under a journal, rolled back and committed.
+		opBegin,
+		opCopy(baseLow, 0xfe0, baseLow, 0x100, 0x40, NoStop),
+		opRollback,
+		opBegin,
+		opCopy(baseLow, 0xfe0, baseLow, 0x100, 0x40, 0),
+		opCommit,
+		// Clones of a frozen template: copies between uniform pages and
+		// into the other clone's shared leaf.
+		opFork(mallocFill),
+		opCopy(baseLow, 0x10, baseLow, 0x1ff0, 0x40, NoStop),
+		opSwitch,
+		opCopy(baseLow, 0x1ff0, baseLow, 0x2000, 0x20, mallocFill),
+		opFork(0),
+		opCopy(baseLow, 0x800, baseLow, 0x10, 0x20, 0),
 	)},
 	{"clones", program(
 		opMap(baseLow, 0, 3*PageSize, ProtRW),

@@ -9,13 +9,14 @@ import (
 	"healers/internal/xmlrep"
 )
 
-// Client default timings; override via the exported fields. They are
-// variables, not constants, so tests can shrink them — production code
-// should treat them as constants.
+// Client timings. They are variables, not constants, so tests can
+// shrink them; production code should treat them as constants.
 var (
 	// DefaultDialTimeout bounds connection establishment.
 	DefaultDialTimeout = 5 * time.Second
-	// DefaultWriteTimeout bounds each frame write.
+	// DefaultWriteTimeout bounds each frame write. A wrapped process
+	// flushes its profile from the exit path; without a deadline a
+	// stalled collector would block that process's exit forever.
 	DefaultWriteTimeout = 5 * time.Second
 	// DefaultCallTimeout bounds reading a Call response frame.
 	DefaultCallTimeout = 10 * time.Second
@@ -35,45 +36,26 @@ const (
 // a lost document. A Client is not safe for concurrent use; Spooler
 // provides the concurrent, asynchronous layer on top.
 //
-// The zero value plus an Addr is usable: every timing field falls back
-// to its package default at use time, so a literal Client{Addr: a} gets
-// the same stall protection as one built by NewClient. Set a field
-// negative to disable that deadline explicitly.
+// The zero value plus an Addr is usable: every Client runs under the
+// package timings above.
 type Client struct {
 	// Addr is the collector's host:port.
 	Addr string
 
 	conn net.Conn
 
-	// DialTimeout bounds connection establishment. Zero means
-	// DefaultDialTimeout; negative disables the bound.
-	DialTimeout time.Duration
-	// WriteTimeout bounds each frame write. A wrapped process flushes
-	// its profile from the exit path; without a deadline a stalled
-	// collector would block that process's exit forever. Zero means
-	// DefaultWriteTimeout; negative disables the deadline.
-	WriteTimeout time.Duration
-	// ReadTimeout bounds reading one Call response frame. Zero means
-	// DefaultCallTimeout; negative disables the deadline.
-	ReadTimeout time.Duration
 	// RetryMax is how many times a failed send is retried (re-dialing
-	// as needed) before the error is returned. Zero fails fast.
+	// as needed) before the error is returned. Zero fails fast. Retries
+	// back off exponentially from DefaultRetryBase to DefaultRetryCap,
+	// each delay with up to 50% random jitter so a restarted collector
+	// is not hit by its whole fleet at once.
 	RetryMax int
-	// RetryBase and RetryCap shape the exponential backoff between
-	// retries; each delay gets up to 50% random jitter so a restarted
-	// collector is not hit by its whole fleet at once.
-	RetryBase time.Duration
-	RetryCap  time.Duration
 }
 
 // NewClient returns a persistent client for addr. No connection is made
 // until the first send.
 func NewClient(addr string) *Client {
-	return &Client{
-		Addr:      addr,
-		RetryBase: DefaultRetryBase,
-		RetryCap:  DefaultRetryCap,
-	}
+	return &Client{Addr: addr}
 }
 
 // Dial connects to a collection server, failing fast if it is
@@ -86,26 +68,11 @@ func Dial(addr string) (*Client, error) {
 	return c, nil
 }
 
-// effective maps a deadline field to its use-time value: zero falls back
-// to the default, negative disables (returns 0). Applying defaults here
-// instead of in NewClient is what keeps a zero-value Client safe — the
-// exact hazard WriteTimeout's comment warns about.
-func effective(field, def time.Duration) time.Duration {
-	switch {
-	case field > 0:
-		return field
-	case field < 0:
-		return 0
-	default:
-		return def
-	}
-}
-
 func (c *Client) ensureConn() error {
 	if c.conn != nil {
 		return nil
 	}
-	conn, err := net.DialTimeout("tcp", c.Addr, effective(c.DialTimeout, DefaultDialTimeout))
+	conn, err := net.DialTimeout("tcp", c.Addr, DefaultDialTimeout)
 	if err != nil {
 		return fmt.Errorf("collect: dial %s: %w", c.Addr, err)
 	}
@@ -122,7 +89,7 @@ func (c *Client) Send(doc any) error {
 	return c.SendRaw(data)
 }
 
-// SendRaw uploads pre-marshalled XML, retrying per the Retry fields.
+// SendRaw uploads pre-marshalled XML, retrying per RetryMax.
 func (c *Client) SendRaw(data []byte) error {
 	_, err := c.exchange(data, false)
 	return err
@@ -147,40 +114,31 @@ func (c *Client) exchange(data []byte, wantResp bool) ([]byte, error) {
 		// No amount of retrying fixes an invalid document.
 		return nil, fmt.Errorf("collect: bad document size %d", len(data))
 	}
-	backoff := c.RetryBase
-	if backoff <= 0 {
-		backoff = DefaultRetryBase
-	}
-	maxBackoff := c.RetryCap
-	if maxBackoff <= 0 {
-		maxBackoff = DefaultRetryCap
-	}
+	backoff := DefaultRetryBase
 	for attempt := 0; ; attempt++ {
 		resp, err := c.exchangeOnce(data, wantResp)
 		if err == nil || attempt >= c.RetryMax {
 			return resp, err
 		}
 		time.Sleep(withJitter(backoff))
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
+		if backoff *= 2; backoff > DefaultRetryCap {
+			backoff = DefaultRetryCap
 		}
 	}
 }
 
 // exchangeOnce is one dial-if-needed, write-one-frame attempt, plus the
-// response read when the caller wants one. The write runs under the
-// effective WriteTimeout: a collector that accepts the connection but
+// response read when the caller wants one. The write runs under
+// DefaultWriteTimeout: a collector that accepts the connection but
 // stops draining it produces a timeout error here instead of wedging the
 // caller. Any error discards the connection so the next attempt re-dials.
 func (c *Client) exchangeOnce(data []byte, wantResp bool) ([]byte, error) {
 	if err := c.ensureConn(); err != nil {
 		return nil, err
 	}
-	if wt := effective(c.WriteTimeout, DefaultWriteTimeout); wt > 0 {
-		if err := c.conn.SetWriteDeadline(time.Now().Add(wt)); err != nil {
-			c.reset()
-			return nil, fmt.Errorf("collect: setting write deadline: %w", err)
-		}
+	if err := c.conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout)); err != nil {
+		c.reset()
+		return nil, fmt.Errorf("collect: setting write deadline: %w", err)
 	}
 	if err := WriteFrame(c.conn, data); err != nil {
 		c.reset()
@@ -190,11 +148,9 @@ func (c *Client) exchangeOnce(data []byte, wantResp bool) ([]byte, error) {
 	if !wantResp {
 		return nil, nil
 	}
-	if rt := effective(c.ReadTimeout, DefaultCallTimeout); rt > 0 {
-		if err := c.conn.SetReadDeadline(time.Now().Add(rt)); err != nil {
-			c.reset()
-			return nil, fmt.Errorf("collect: setting read deadline: %w", err)
-		}
+	if err := c.conn.SetReadDeadline(time.Now().Add(DefaultCallTimeout)); err != nil {
+		c.reset()
+		return nil, fmt.Errorf("collect: setting read deadline: %w", err)
 	}
 	resp, err := ReadFrame(c.conn)
 	if err != nil {

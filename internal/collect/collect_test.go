@@ -244,7 +244,9 @@ func TestWriteDeadlineOnStalledCollector(t *testing.T) {
 			conn.Close()
 		}
 	}()
-	c.WriteTimeout = 200 * time.Millisecond
+	oldWrite := DefaultWriteTimeout
+	DefaultWriteTimeout = 200 * time.Millisecond
+	defer func() { DefaultWriteTimeout = oldWrite }()
 	frame := make([]byte, 1<<20)
 	start := time.Now()
 	var sendErr error
@@ -272,7 +274,9 @@ func TestSendAfterDeadlineRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.WriteTimeout = 50 * time.Millisecond
+	oldWrite := DefaultWriteTimeout
+	DefaultWriteTimeout = 50 * time.Millisecond
+	defer func() { DefaultWriteTimeout = oldWrite }()
 	if err := c.Send(sampleProfile("a", 1)); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
@@ -422,7 +426,7 @@ func TestCallRequestResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := startServer(t, WithHandler(Handler{
-		xmlrep.KindWorkRequest: func(string, []byte) []byte { return ackFrame },
+		xmlrep.KindWorkRequest: func([]byte) []byte { return ackFrame },
 	}))
 	c, err := Dial(s.Addr())
 	if err != nil {

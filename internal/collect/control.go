@@ -130,7 +130,7 @@ func (cp *ControlPlane) Handler() Handler {
 
 // handlePush adopts or refuses a pushed policy document and renders the
 // ack either way.
-func (cp *ControlPlane) handlePush(_ string, data []byte) []byte {
+func (cp *ControlPlane) handlePush(data []byte) []byte {
 	ack := xmlrep.PolicyAck{OK: true}
 	doc, err := xmlrep.Unmarshal[xmlrep.PolicyDoc](data)
 	if err == nil {
@@ -152,7 +152,7 @@ func (cp *ControlPlane) handlePush(_ string, data []byte) []byte {
 
 // handleRequest serves the current document to a requester that is
 // behind, or an ack telling it it is current.
-func (cp *ControlPlane) handleRequest(_ string, data []byte) []byte {
+func (cp *ControlPlane) handleRequest(data []byte) []byte {
 	req, err := xmlrep.Unmarshal[xmlrep.PolicyRequest](data)
 	if err != nil {
 		return xmlrep.MustMarshal(&xmlrep.PolicyAck{OK: false, Reason: "malformed policy request"})

@@ -261,9 +261,8 @@ func marshalEntryDoc(hierarchy string, fn *xmlrep.CacheFuncXML) ([]byte, error) 
 
 // Get answers one lookup: the entries held for the requested keys (each
 // stamped with its integrity sum), plus which keys were found and which
-// were not. With hasOnly set the entry bodies are omitted — the cheap
-// presence probe.
-func (r *Registry) Get(keys []string, hasOnly bool) *xmlrep.RegistryAnswer {
+// were not.
+func (r *Registry) Get(keys []string) *xmlrep.RegistryAnswer {
 	ans := &xmlrep.RegistryAnswer{}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -276,9 +275,7 @@ func (r *Registry) Get(keys []string, hasOnly bool) *xmlrep.RegistryAnswer {
 		}
 		r.stats.Hits++
 		ans.Found = append(ans.Found, key)
-		if !hasOnly {
-			ans.Funcs = append(ans.Funcs, xmlrep.RegistryEntryXML{CacheFuncXML: e.fn, Sum: e.sum})
-		}
+		ans.Funcs = append(ans.Funcs, xmlrep.RegistryEntryXML{CacheFuncXML: e.fn, Sum: e.sum})
 	}
 	xmlrep.Seal(ans)
 	return ans
@@ -306,7 +303,7 @@ func (r *Registry) Handler() Handler {
 // handleGet answers one get frame; a malformed or corrupted request
 // gets a refusing ack rather than a fabricated answer. The request
 // checksum is optional.
-func (r *Registry) handleGet(_ string, data []byte) []byte {
+func (r *Registry) handleGet(data []byte) []byte {
 	req, err := xmlrep.Unmarshal[xmlrep.RegistryGet](data)
 	if err != nil {
 		return xmlrep.MustMarshal(&xmlrep.RegistryAck{OK: false, Reason: "malformed registry get"})
@@ -314,13 +311,13 @@ func (r *Registry) handleGet(_ string, data []byte) []byte {
 	if req.Checksum != "" && xmlrep.Verify(req) != nil {
 		return xmlrep.MustMarshal(&xmlrep.RegistryAck{OK: false, Reason: "registry get checksum mismatch"})
 	}
-	return xmlrep.MustMarshal(r.Get(req.Keys, req.HasOnly))
+	return xmlrep.MustMarshal(r.Get(req.Keys))
 }
 
 // handlePut stores a pushed batch. The frame checksum is mandatory:
 // storing a truncated or corrupted batch would poison every future warm
 // sweep, so an unverifiable frame is refused whole.
-func (r *Registry) handlePut(_ string, data []byte) []byte {
+func (r *Registry) handlePut(data []byte) []byte {
 	refuse := func(reason string) []byte {
 		r.mu.Lock()
 		r.stats.Rejected++

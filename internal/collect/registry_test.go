@@ -40,7 +40,7 @@ func TestRegistryPutGetRoundTrip(t *testing.T) {
 	if stored, err = r.Put("v1", fn); err != nil || stored {
 		t.Fatalf("duplicate Put = %v, %v; want known", stored, err)
 	}
-	ans := r.Get([]string{fn.Key, "absent"}, false)
+	ans := r.Get([]string{fn.Key, "absent"})
 	if len(ans.Funcs) != 1 || ans.Funcs[0].Name != "func_001" {
 		t.Fatalf("Get entries = %+v", ans.Funcs)
 	}
@@ -50,13 +50,8 @@ func TestRegistryPutGetRoundTrip(t *testing.T) {
 	if strings.Join(ans.Found, ",") != fn.Key || strings.Join(ans.Missing, ",") != "absent" {
 		t.Errorf("Found/Missing = %v / %v", ans.Found, ans.Missing)
 	}
-	// Presence probe: keys only, no bodies.
-	has := r.Get([]string{fn.Key}, true)
-	if len(has.Funcs) != 0 || len(has.Found) != 1 {
-		t.Errorf("has-only answer carried bodies: %+v", has)
-	}
 	st := r.Stats()
-	if st.Entries != 1 || st.Puts != 1 || st.Known != 1 || st.Hits != 2 || st.Misses != 1 {
+	if st.Entries != 1 || st.Puts != 1 || st.Known != 1 || st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 }
@@ -76,7 +71,7 @@ func TestRegistryPersistsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans := r2.Get([]string{regFunc(1).Key}, false)
+	ans := r2.Get([]string{regFunc(1).Key})
 	if len(ans.Funcs) != 1 || ans.Funcs[0].Probes != 4 {
 		t.Fatalf("reopened registry lost entries: %+v", ans)
 	}
@@ -120,7 +115,7 @@ func TestRegistryDiscardsCorruptFilesAtLoad(t *testing.T) {
 	if st.Entries != 1 || st.Corrupt != 2 {
 		t.Fatalf("stats after corrupt load = %+v; want 1 entry, 2 corrupt", st)
 	}
-	ans := r2.Get([]string{good.Key, bad.Key}, false)
+	ans := r2.Get([]string{good.Key, bad.Key})
 	if len(ans.Funcs) != 1 || ans.Funcs[0].Key != good.Key {
 		t.Fatalf("corrupted entry served: %+v", ans.Funcs)
 	}
@@ -144,7 +139,7 @@ func TestRegistryEvictionByDocBudget(t *testing.T) {
 		t.Fatalf("stats = %+v; want 3 entries, 2 evicted", st)
 	}
 	// Oldest first: 0 and 1 gone, 2..4 present — on disk too.
-	ans := r.Get([]string{regFunc(0).Key, regFunc(4).Key}, true)
+	ans := r.Get([]string{regFunc(0).Key, regFunc(4).Key})
 	if strings.Join(ans.Found, ",") != regFunc(4).Key || len(ans.Missing) != 1 {
 		t.Errorf("eviction order wrong: %+v", ans)
 	}
@@ -204,7 +199,7 @@ func TestRegistryConcurrentGetPut(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				ans := r.Get([]string{fn.Key}, false)
+				ans := r.Get([]string{fn.Key})
 				for k := range ans.Funcs {
 					if ans.Funcs[k].Sum != xmlrep.Checksum(&ans.Funcs[k].CacheFuncXML) {
 						t.Error("served entry failed its integrity sum under concurrency")

@@ -153,7 +153,7 @@ const (
 // Handler is a dispatch table of request documents (see WithHandler):
 // each entry answers one document kind with the marshalled response
 // frame. Kinds without an entry fall through to the ordinary store path.
-type Handler map[xmlrep.DocKind]func(from string, data []byte) []byte
+type Handler map[xmlrep.DocKind]func(data []byte) []byte
 
 type config struct {
 	maxConns    int
@@ -439,7 +439,7 @@ func (s *Server) dispatch(conn net.Conn, from string, data []byte) bool {
 		s.store(from, kind, data)
 		return true
 	}
-	resp := h(from, data)
+	resp := h(data)
 	s.bump(&s.stats.RequestsHandled)
 	if s.cfg.readTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.readTimeout))

@@ -540,8 +540,6 @@ func TestClientRetryReachesRestartedCollector(t *testing.T) {
 
 	c := NewClient(addr)
 	c.RetryMax = 50
-	c.RetryBase = 10 * time.Millisecond
-	c.RetryCap = 50 * time.Millisecond
 	defer c.Close()
 
 	srvCh := make(chan *Server, 1)

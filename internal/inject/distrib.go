@@ -243,7 +243,7 @@ func (co *Coordinator) touchWorker(name string) *WorkerStat {
 // duplicate of the slowest in-flight shard. With nothing to hand out it
 // tells the worker when to poll again, and once every function has a
 // result it tells the worker to exit.
-func (co *Coordinator) handleRequest(_ string, data []byte) []byte {
+func (co *Coordinator) handleRequest(data []byte) []byte {
 	req, err := xmlrep.Unmarshal[xmlrep.WorkRequest](data)
 	if err != nil {
 		return errAck(fmt.Sprintf("bad work request: %v", err))
@@ -370,7 +370,7 @@ func (co *Coordinator) shardDoneLocked(s *shardState) bool {
 // a speculative re-issue — are acknowledged and dropped, which is what
 // makes result delivery idempotent. An entry the cache fails to record
 // refuses the document before the entry is credited.
-func (co *Coordinator) handleResult(_ string, data []byte) []byte {
+func (co *Coordinator) handleResult(data []byte) []byte {
 	res, err := xmlrep.Unmarshal[xmlrep.WorkResult](data)
 	if err != nil {
 		return errAck(fmt.Sprintf("bad work result: %v", err))
@@ -479,7 +479,7 @@ func (co *Coordinator) doneProbesLocked() int {
 
 // handleHeartbeat extends the lease of a shard whose holder is still
 // alive and probing.
-func (co *Coordinator) handleHeartbeat(_ string, data []byte) []byte {
+func (co *Coordinator) handleHeartbeat(data []byte) []byte {
 	hb, err := xmlrep.Unmarshal[xmlrep.Heartbeat](data)
 	if err != nil {
 		return errAck(fmt.Sprintf("bad heartbeat: %v", err))

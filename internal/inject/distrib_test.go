@@ -240,16 +240,15 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	co := NewCoordinator(c, 1, WithLeaseTimeout(time.Minute))
-	co.handleRequest("",
-		xmlrep.MustMarshal(&xmlrep.WorkRequest{Worker: "w1", Hierarchy: HierarchyVersion()}))
+	co.handleRequest(xmlrep.MustMarshal(&xmlrep.WorkRequest{Worker: "w1", Hierarchy: HierarchyVersion()}))
 	before := co.shards[0].deadline
 
-	co.handleHeartbeat("", xmlrep.MustMarshal(&xmlrep.Heartbeat{Worker: "w2", Shard: 0, Attempt: 1}))
+	co.handleHeartbeat(xmlrep.MustMarshal(&xmlrep.Heartbeat{Worker: "w2", Shard: 0, Attempt: 1}))
 	if !co.shards[0].deadline.Equal(before) {
 		t.Error("a non-holder's heartbeat moved the lease deadline")
 	}
 	time.Sleep(5 * time.Millisecond)
-	co.handleHeartbeat("", xmlrep.MustMarshal(&xmlrep.Heartbeat{Worker: "w1", Shard: 0, Attempt: 1}))
+	co.handleHeartbeat(xmlrep.MustMarshal(&xmlrep.Heartbeat{Worker: "w1", Shard: 0, Attempt: 1}))
 	if !co.shards[0].deadline.After(before) {
 		t.Error("the holder's heartbeat did not extend the lease")
 	}
@@ -275,15 +274,14 @@ func TestCoordinatorRefusesForeignResults(t *testing.T) {
 		}
 	}
 
-	refused(co.handleRequest("",
-		xmlrep.MustMarshal(&xmlrep.WorkRequest{Worker: "old", Hierarchy: "v0-stale"})), "hierarchy")
+	refused(co.handleRequest(xmlrep.MustMarshal(&xmlrep.WorkRequest{Worker: "old", Hierarchy: "v0-stale"})), "hierarchy")
 
 	res := &xmlrep.WorkResult{Worker: "w", Config: "deadbeef"}
 	xmlrep.Seal(res)
-	refused(co.handleResult("", xmlrep.MustMarshal(res)), "config")
+	refused(co.handleResult(xmlrep.MustMarshal(res)), "config")
 
 	res = &xmlrep.WorkResult{Worker: "w", Config: co.config, Checksum: "bogus"}
-	refused(co.handleResult("", xmlrep.MustMarshal(res)), "checksum")
+	refused(co.handleResult(xmlrep.MustMarshal(res)), "checksum")
 
 	if co.doneFuncsLocked() != 0 {
 		t.Error("a refused result was merged")
@@ -309,8 +307,7 @@ func TestRefusedResultEarnsNoCredit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lease, err := xmlrep.Unmarshal[xmlrep.WorkLease](co.handleRequest("",
-		xmlrep.MustMarshal(&xmlrep.WorkRequest{Worker: "w", Hierarchy: HierarchyVersion()})))
+	lease, err := xmlrep.Unmarshal[xmlrep.WorkLease](co.handleRequest(xmlrep.MustMarshal(&xmlrep.WorkRequest{Worker: "w", Hierarchy: HierarchyVersion()})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +329,7 @@ func TestRefusedResultEarnsNoCredit(t *testing.T) {
 
 	before := co.Remaining()
 	for i := 1; i <= 2; i++ {
-		ack, err := xmlrep.Unmarshal[xmlrep.WorkAck](co.handleResult("", xmlrep.MustMarshal(res)))
+		ack, err := xmlrep.Unmarshal[xmlrep.WorkAck](co.handleResult(xmlrep.MustMarshal(res)))
 		if err != nil {
 			t.Fatal(err)
 		}

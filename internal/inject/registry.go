@@ -48,17 +48,6 @@ type RegistryCacheStats struct {
 	Degraded bool
 }
 
-// RegistryCacheOption configures a RegistryCache.
-type RegistryCacheOption func(*RegistryCache)
-
-// WithRegistryClients substitutes the wire clients — one for the
-// synchronous fetch path, one owned by the asynchronous push drainer
-// (collect.Client is single-goroutine, so the two paths must not share
-// one). Tests shrink their timeouts.
-func WithRegistryClients(get, put *collect.Client) RegistryCacheOption {
-	return func(rc *RegistryCache) { rc.getCl, rc.putCl = get, put }
-}
-
 // RegistryCache is the client side of a shared campaign-cache registry:
 // batch read-through fetches into a local Cache plus an asynchronous
 // write-back queue. Attach one to a campaign with WithRegistry (or a
@@ -88,7 +77,7 @@ type RegistryCache struct {
 
 // NewRegistryCache builds a registry client for the registry at addr
 // and starts its push drainer.
-func NewRegistryCache(addr string, opts ...RegistryCacheOption) *RegistryCache {
+func NewRegistryCache(addr string) *RegistryCache {
 	host, _ := os.Hostname()
 	if host == "" {
 		host = "runner"
@@ -97,17 +86,10 @@ func NewRegistryCache(addr string, opts ...RegistryCacheOption) *RegistryCache {
 		addr: addr,
 		id:   fmt.Sprintf("%s-%d", host, os.Getpid()),
 	}
-	for _, o := range opts {
-		o(rc)
-	}
-	if rc.getCl == nil {
-		rc.getCl = collect.NewClient(addr)
-		rc.getCl.RetryMax = 2
-	}
-	if rc.putCl == nil {
-		rc.putCl = collect.NewClient(addr)
-		rc.putCl.RetryMax = 2
-	}
+	// collect.Client is single-goroutine: the synchronous fetch path
+	// and the asynchronous push drainer each own one.
+	rc.getCl = &collect.Client{Addr: addr, RetryMax: 2}
+	rc.putCl = &collect.Client{Addr: addr, RetryMax: 2}
 	rc.cond = sync.NewCond(&rc.mu)
 	rc.drained.Add(1)
 	go rc.drain()

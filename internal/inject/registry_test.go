@@ -25,13 +25,11 @@ func startRegistry(t *testing.T) (*collect.Registry, string) {
 	return reg, srv.Addr()
 }
 
-// newTestRegistryCache builds a registry client with fast-failing wire
-// clients so degradation paths don't stall the suite.
+// newTestRegistryCache builds a registry client that is closed when the
+// test ends.
 func newTestRegistryCache(t *testing.T, addr string) *RegistryCache {
 	t.Helper()
-	get, put := collect.NewClient(addr), collect.NewClient(addr)
-	get.DialTimeout, put.DialTimeout = 250*time.Millisecond, 250*time.Millisecond
-	rc := NewRegistryCache(addr, WithRegistryClients(get, put))
+	rc := NewRegistryCache(addr)
 	t.Cleanup(func() { rc.Close() })
 	return rc
 }
@@ -174,7 +172,7 @@ func TestRegistryCorruptEntryDiscardedAndReprobed(t *testing.T) {
 	// A hostile registry: answers every get with plausible entries whose
 	// sums are wrong.
 	srv, err := collect.Serve("127.0.0.1:0", collect.WithHandler(collect.Handler{
-		xmlrep.KindRegistryGet: func(_ string, data []byte) []byte {
+		xmlrep.KindRegistryGet: func(data []byte) []byte {
 			req, err := xmlrep.Unmarshal[xmlrep.RegistryGet](data)
 			if err != nil {
 				t.Errorf("hostile registry: %v", err)

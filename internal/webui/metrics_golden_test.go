@@ -113,7 +113,7 @@ func goldenSources(t *testing.T) MetricsSources {
 	if _, err := reg.Put("h1", &xmlrep.CacheFuncXML{Name: "strlen", Key: "k1", Config: "c1", Probes: 4}); err != nil {
 		t.Fatal(err)
 	}
-	reg.Get([]string{"k1", "k2"}, false)
+	reg.Get([]string{"k1", "k2"})
 
 	reloaded := wrappers.DefaultPolicy()
 	if err := reloaded.ApplyDoc(policy); err != nil {

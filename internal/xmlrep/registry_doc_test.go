@@ -127,14 +127,3 @@ func TestRegistryChecksumDetectsTamper(t *testing.T) {
 		t.Error("put checksum missed an entry mutation")
 	}
 }
-
-// TestRegistryHasOnlyChecksum: the HasOnly bit is covered by the request
-// checksum — a presence probe and a fetch for the same keys must not
-// alias.
-func TestRegistryHasOnlyChecksum(t *testing.T) {
-	a := &RegistryGet{Keys: []string{"k1"}}
-	b := &RegistryGet{Keys: []string{"k1"}, HasOnly: true}
-	if Checksum(a) == Checksum(b) {
-		t.Error("HasOnly not covered by the request checksum")
-	}
-}

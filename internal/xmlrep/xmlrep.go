@@ -392,14 +392,10 @@ type WorkAck struct {
 // so one collector port serves ingest, coordination, policy, and the
 // registry at once.
 
-// RegistryGet asks a registry for cache entries by key. With HasOnly
-// set the answer reports presence only (Found/Missing keys, no entry
-// bodies) — the cheap "has" probe a planner uses before deciding what
-// to lease.
+// RegistryGet asks a registry for cache entries by key.
 type RegistryGet struct {
 	XMLName  xml.Name `xml:"healers-registry-get"`
 	Client   string   `xml:"client,attr,omitempty"`
-	HasOnly  bool     `xml:"has_only,attr,omitempty"`
 	Keys     []string `xml:"key"`
 	Checksum string   `xml:"checksum,attr,omitempty"`
 }
@@ -414,8 +410,8 @@ type RegistryEntryXML struct {
 }
 
 // RegistryAnswer is the registry's response to a get: the entries it
-// holds for the requested keys (or, for a HasOnly probe, just their
-// keys under Found) and the keys it does not.
+// holds for the requested keys, those keys under Found, and the keys it
+// does not hold under Missing.
 type RegistryAnswer struct {
 	XMLName  xml.Name           `xml:"healers-registry-answer"`
 	Funcs    []RegistryEntryXML `xml:"function"`

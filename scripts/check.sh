@@ -12,19 +12,12 @@ go vet ./...
 (cd perfbench && GOPROXY=off go vet .)
 go test -race ./...
 
-# Documentation hygiene: flags and README must agree in both
-# directions, the embedding API's exported surface must be godoc'd, no
-# exported identifier under internal/ may be called from tests alone,
-# and the whole repo must be gofmt-clean.
-sh scripts/check-docs.sh
-sh scripts/check-godoc.sh
-go run ./scripts/testonly
-fmt=$(gofmt -l .)
-if [ -n "$fmt" ]; then
-    echo "gofmt needed:" >&2
-    echo "$fmt" >&2
-    exit 1
-fi
+# Documentation hygiene, listed once in the Makefile's docs target:
+# flags and README must agree in both directions, the embedding API's
+# exported surface must be godoc'd, no exported identifier under
+# internal/ may be called from tests alone, and the whole repo must be
+# gofmt-clean.
+make ci-docs
 
 # Robustness-regression gate: the derived robust API must not be weaker
 # than the checked-in baseline, from an uncached one-worker sweep and

@@ -76,13 +76,12 @@ var keep = map[string]string{
 	"dynlink.Linkmap.Objects":        "TestLinkmapQuery lists the search order",
 
 	// Time and size seams that let tests run in milliseconds.
-	"collect.WithIdleTimeout":    "shortens the idle-connection timeout in tests",
-	"collect.WithReadTimeout":    "shortens the frame read timeout in tests",
-	"collect.WithSpoolBudget":    "shrinks the spool budget in tests",
-	"inject.WithLeaseTimeout":    "shortens the coordinator's shard lease in tests",
-	"inject.WithStragglerAfter":  "shortens the straggler threshold in tests",
-	"inject.WithWorkerID":        "names a worker in coordinator tests",
-	"inject.WithRegistryClients": "injects registry clients in sharding tests",
+	"collect.WithIdleTimeout":   "shortens the idle-connection timeout in tests",
+	"collect.WithReadTimeout":   "shortens the frame read timeout in tests",
+	"collect.WithSpoolBudget":   "shrinks the spool budget in tests",
+	"inject.WithLeaseTimeout":   "shortens the coordinator's shard lease in tests",
+	"inject.WithStragglerAfter": "shortens the straggler threshold in tests",
+	"inject.WithWorkerID":       "names a worker in coordinator tests",
 }
 
 func main() {
